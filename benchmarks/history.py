@@ -64,10 +64,10 @@ DEFAULT_THRESHOLD = 0.10
 #: Hard absolute floors (same units as the metric).  Unlike the relative
 #: regression check — which only compares adjacent commits and so can be
 #: walked down a few percent at a time — a floor breach always fails the
-#: gate.  Values sit well under the macro-op-fusion reference-container
-#: measurements (≈570k refs/s on the cold Figure 4.1 sweep, ≈1.5M ev/s on
-#: the coroutine kernel microbench), so CI jitter clears them but losing
-#: the fusion layer or the callback fast path cannot.
+#: gate.  Values sit well under the reference-container measurements
+#: (≈530–570k refs/s on the cold Figure 4.1 sweep, ≈1.5M ev/s on the
+#: coroutine kernel microbench), so CI jitter clears them but losing the
+#: callback fast path cannot.
 ABS_FLOORS: Dict[str, float] = {
     "references_per_sec": 460_000,
     "kernel_events_per_sec": 1_000_000,
@@ -77,9 +77,9 @@ ABS_FLOORS: Dict[str, float] = {
 #: (``per_app_refs_per_sec`` in the latest ``BENCH_e2e.json`` record),
 #: ~50 % under reference-container measurements (apps differ by >10x in
 #: refs/s because miss traffic per reference differs): wide enough for
-#: runner noise, tight enough that one app losing its fusion eligibility
-#: or fast path entirely trips its own named floor even when the
-#: aggregate stays above ``ABS_FLOORS``.
+#: runner noise, tight enough that one app losing its fast path entirely
+#: trips its own named floor even when the aggregate stays above
+#: ``ABS_FLOORS``.
 PER_APP_FLOORS: Dict[str, float] = {
     "barnes/flash": 150_000,
     "barnes/ideal": 240_000,
@@ -214,8 +214,8 @@ def check_app_floors(e2e_record: Optional[dict],
                      floors: Optional[Dict[str, float]] = None) -> List[str]:
     """Per-app/kind floor breaches against the latest e2e sweep record's
     ``per_app_refs_per_sec`` map.  Missing record, missing map (a record
-    from before the fusion census), or an app/kind the map lacks are all
-    skipped — the check tightens only where measurements exist."""
+    from before per-app rates were recorded), or an app/kind the map lacks
+    are all skipped — the check tightens only where measurements exist."""
     if floors is None:
         floors = PER_APP_FLOORS
     if not e2e_record:

@@ -156,8 +156,7 @@ def fig41_sweep() -> dict:
 
     per_app: dict = {}
     per_app_refs: dict = {}
-    fused: dict = {}
-    stepwise: dict = {}
+    handlers: dict = {}
     total_refs = 0
     total_seconds = 0.0
     for spec in runfarm.sweep_specs(regime="large"):
@@ -168,20 +167,15 @@ def fig41_sweep() -> dict:
         key = f"{spec['app']}/{spec['kind']}"
         per_app[key] = round(elapsed, 2)
         per_app_refs[key] = round(result.references / elapsed)
-        # Macro-op fusion census: how many handler dispatches ran through
-        # the analytic fused chains versus the stepwise pipeline, by
-        # message class, summed over nodes (repro.magic.chip /
-        # repro.ideal.controller keep the per-controller dicts).
+        # Handler dispatch census by message class, summed over nodes
+        # (repro.magic.chip / repro.ideal.controller keep the per-controller
+        # ``dispatch_stepwise`` dicts).
         for node in machine.nodes:
-            for source, sink in ((node.controller.dispatch_fused, fused),
-                                 (node.controller.dispatch_stepwise, stepwise)):
-                for mtype, count in source.items():
-                    sink[mtype] = sink.get(mtype, 0) + count
+            for mtype, count in node.controller.dispatch_stepwise.items():
+                handlers[mtype] = handlers.get(mtype, 0) + count
         total_refs += result.references
         total_seconds += elapsed
         print(f"  {key:<14} {elapsed:6.2f}s", file=sys.stderr)
-    fused_total = sum(fused.values())
-    stepwise_total = sum(stepwise.values())
     return {
         "sweep_seconds": round(total_seconds, 2),
         "references": total_refs,
@@ -189,12 +183,8 @@ def fig41_sweep() -> dict:
         "per_app_seconds": per_app,
         "per_app_refs_per_sec": per_app_refs,
         "dispatch_modes": {
-            "fused_total": fused_total,
-            "stepwise_total": stepwise_total,
-            "fused_fraction": round(
-                fused_total / max(1, fused_total + stepwise_total), 4),
-            "fused_by_class": {k: fused[k] for k in sorted(fused)},
-            "stepwise_by_class": {k: stepwise[k] for k in sorted(stepwise)},
+            "handlers_total": sum(handlers.values()),
+            "handlers_by_class": {k: handlers[k] for k in sorted(handlers)},
         },
     }
 

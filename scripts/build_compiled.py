@@ -23,11 +23,11 @@ Usage::
                                                 # package; CI uploads it)
 
 mypyc needs the ``mypy`` package (``pip install 'repro[compiled]'`` pulls
-it in); no other dependency is added.  The two refcount-proof recycling
-layers (``repro.sim.engine`` event pools, ``repro.protocol.messages``
-free-list) detect the compiled environment via ``__file__`` and disable
-themselves — CPython ``getrefcount`` semantics do not hold for mypyc
-objects — so correctness never depends on the interpreter.
+it in); no other dependency is added.  The refcount-proof recycling layer
+(the ``repro.sim.engine`` event pools) detects the compiled environment
+via ``__file__`` and disables itself — CPython ``getrefcount`` semantics
+do not hold for mypyc objects — so correctness never depends on the
+interpreter.
 """
 
 from __future__ import annotations

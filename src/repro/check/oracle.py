@@ -11,7 +11,7 @@ tokens along the same paths the protocol claims data moves:
 * ``msgval[uid]`` — the version carried by an in-flight data reply,
 
 stamped from the protocol engine's returned :class:`Action` lists (the
-semantic layer both the fused and stepwise execution paths share) and
+semantic layer every controller and cost backend shares) and
 consumed by the processor-interface hooks the CPU exposes.
 
 On top of the propagation the oracle asserts, at every retiring access:

@@ -9,7 +9,6 @@ speculation, a single-issue PP) rather than code changes.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -24,20 +23,9 @@ __all__ = [
     "HandlerCosts",
     "MachineConfig",
     "flash_config",
-    "fusion_from_env",
     "ideal_config",
     "mesh_transit_cycles",
 ]
-
-
-def fusion_from_env() -> bool:
-    """Macro-op fusion master switch, read at controller construction: on by
-    default, ``REPRO_FUSION=off`` (or 0/no/false/disabled) forces every
-    message down the stepwise state machines.  Results are byte-identical
-    either way — the knob exists for parity testing and triage, not tuning —
-    so it is deliberately *not* part of any cache key or RunResult."""
-    raw = os.environ.get("REPRO_FUSION", "").strip().lower()
-    return raw not in ("0", "off", "no", "false", "disabled")
 
 
 def mesh_transit_cycles(n_nodes: int, header_cycles: int = 3, hop_ns: int = 40) -> int:

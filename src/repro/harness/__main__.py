@@ -334,8 +334,8 @@ def cmd_faults(args) -> int:
 
 def cmd_check(args) -> int:
     """Coherence model checker: sweep seeds x shapes x protocols x fault
-    plans x fusion modes under the SWMR/SC oracle and quiesce-point
-    invariant walks; shrink any failure to a replayable reproducer."""
+    plans under the SWMR/SC oracle and quiesce-point invariant walks;
+    shrink any failure to a replayable reproducer."""
     import json
 
     from ..check import (
@@ -360,16 +360,14 @@ def cmd_check(args) -> int:
              if args.seeds else [args.seed])
     protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    fusion_modes = {"both": (True, False), "fused": (True,),
-                    "stepwise": (False,)}[args.fusion]
     fault_rates = [float(r) for r in args.faults.split(",") if r.strip()]
     out_dir = args.out_dir or envopts.check_dir()
     reports = []
     failed = []
     for spec in iter_specs(seeds, ops=args.ops, nodes=args.nodes,
                            lines=args.lines, protocols=protocols,
-                           kinds=kinds, fusion_modes=fusion_modes,
-                           fault_rates=fault_rates, mutation=args.mutate):
+                           kinds=kinds, fault_rates=fault_rates,
+                           mutation=args.mutate):
         report = run_check(spec)
         if not report.ok and args.shrink:
             best, attempts = shrink(report)
@@ -698,9 +696,6 @@ def main(argv=None) -> int:
                             " (default: all three)")
     check.add_argument("--kinds", metavar="K,K,...", default="flash,ideal",
                        help="machine kinds (default: flash,ideal)")
-    check.add_argument("--fusion", default="both",
-                       choices=["both", "fused", "stepwise"],
-                       help="macro-op fusion axis (default: both)")
     check.add_argument("--faults", metavar="R,R,...", default="0",
                        help="uniform fault rates; nonzero rates run on"
                             " flash/table only (default: 0)")

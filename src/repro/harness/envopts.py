@@ -13,9 +13,6 @@ the single source of truth:
                     ``window=N,exemplars=K``)
 ``REPRO_CACHE``     persistent result cache (on by default; off-values below)
 ``REPRO_JOBS``      default run-farm worker count
-``REPRO_FUSION``    macro-op fusion in the node controllers (on by default;
-                    off-values force every dispatch through the stepwise
-                    pipeline — timing is byte-identical either way)
 ``REPRO_CHECK_DIR`` model-checker reproducer artifact directory (default
                     ``.repro_check``)
 ``REPRO_BACKEND``   ``python`` (default) or ``compiled``: ``compiled``

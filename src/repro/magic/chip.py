@@ -25,23 +25,16 @@ process form.  Cold block-transfer flows stay as generators driven by
 
 from __future__ import annotations
 
-import sys
 from typing import Callable, Dict, Optional
 
-from ..common.params import MachineConfig, fusion_from_env
+from ..common.params import MachineConfig
 from ..memory.controller import MemoryController, MemoryRequest, SubmitWhenReady
 from ..network.mesh import NetworkPort
 from ..msgpass.transfer import (
     XFER_DONE_COST, XFER_PER_LINE_COST, XFER_RECEIVE_COST, XFER_SETUP_COST,
 )
 from ..protocol.coherence import Action, NodeProtocolEngine
-from ..protocol.messages import (
-    FREE_LIST as _MSG_POOL,
-    Message,
-    MessageType as MT,
-    RECYCLING as _MSG_RECYCLING,
-    TRANSFER_TYPES,
-)
+from ..protocol.messages import Message, MessageType as MT, TRANSFER_TYPES
 from ..sim.engine import Environment, Event, NO_ARG, PENDING, Subtask
 from ..sim.queues import BoundedQueue, CountingResource
 from ..stats.breakdown import NodeStats
@@ -52,16 +45,6 @@ __all__ = ["MagicChip", "SPECULATIVE_TYPES"]
 #: Message types for which the jump table initiates a speculative memory read
 #: (requests that may be satisfied from local memory).
 SPECULATIVE_TYPES = frozenset({MT.GET, MT.GETX, MT.REMOTE_GET, MT.REMOTE_GETX})
-
-#: Macro-op fusion gate switches.  Each fusion family is individually
-#: revertible: a golden-matrix failure flips one to False without losing the
-#: other (see DESIGN.md §5h).  ``REPRO_FUSION=off`` disables both at runtime.
-_FUSE_SENDS = True
-_FUSE_DELIVER = True
-
-# Message retirement (see repro.protocol.messages.FREE_LIST): only meaningful
-# when the refcount proof is available.
-_getrefcount = getattr(sys, "getrefcount", None) if _MSG_RECYCLING else None
 
 
 class _ArbOnce:
@@ -98,7 +81,7 @@ class _ActionRunner:
         "chip", "actions", "idx", "n", "spec", "incoming_buffer", "done_cb",
         "action", "start", "trace_ctx", "cost", "wb_left", "miss_left",
         "mdc_stall_start", "fill", "req", "wreq", "data_ready", "send_idx",
-        "pending_done", "_fuse_rel", "_fuse_release",
+        "pending_done",
     )
 
     def __init__(self, chip: "MagicChip", actions, spec, incoming_buffer,
@@ -134,8 +117,6 @@ class _ActionRunner:
         misses, writebacks = chip.mdc.access_sequence(action.dir_addrs)
         self.miss_left = misses
         self.wb_left = writebacks
-        if not (misses or writebacks) and chip._fusion and self._try_fuse():
-            return
         self._wb_next()
 
     def _wb_next(self) -> None:
@@ -180,227 +161,6 @@ class _ActionRunner:
             chip.env.call_later(extra, self._fill_next)
         else:
             self._fill_next()
-
-    # -- macro-op fusion (contention-free fast path) ------------------------------
-
-    def _try_fuse(self) -> bool:
-        """Route this action onto the fused chain: one calendar entry per
-        pipeline *instant*, with the queue handoffs, event allocations, and
-        trampoline hops between those instants all elided.
-
-        Static eligibility mirrors every branch the stepwise chain could
-        take before its first queue interaction: the action must be alone
-        (single-action batch), free of observers (fault plan, tracer,
-        metrics, watchdog — they hook intermediate instants), free of
-        blocking resources (no memory read/write, no processor-cache
-        retrieve), limited to one outgoing message (so the fused send never
-        sits in the NI queue and FIFO order with concurrent producers is
-        preserved by construction), and any attached data must already be
-        resolved.  *Dynamic* contention is not checked here: the chain
-        re-checks the NI/PO at each checkpoint instant and rejoins the
-        stepwise machine mid-flight — at the identical instant and calendar
-        position — the moment a unit turns out busy.
-        """
-        chip = self.chip
-        if (self.n != 1 or chip.faults is not None or chip.tracer is not None
-                or chip.metrics is not None
-                or chip.env._watchdog is not None):
-            return False
-        action = self.action
-        if action.writes_memory or action.cache_retrieve or action.send_delay:
-            return False
-        sends = action.sends
-        n_sends = len(sends)
-        if n_sends:
-            if n_sends > 1 or not _FUSE_SENDS:
-                return False
-            if sends[0].dst == chip.node_id:
-                return False  # stepwise raises; keep that diagnosable
-        elif action.cpu_deliver is None or not _FUSE_DELIVER:
-            # No outbound tail at all: stepwise is already a single calendar
-            # entry (the handler cost), so fusing would save nothing.
-            return False
-        if action.needs_memory_data:
-            spec = self.spec
-            if (spec is None or action.memory_stale
-                    or spec.data_event._value is PENDING):
-                return False  # a blocking memory read (or data wait) follows
-        net = chip.net_port._network
-        if (net.faults is not None or net.tracer is not None
-                or net.metrics is not None):
-            return False
-        cost = chip.cost_model.cost(action)
-        chip.stats.note_handler(action.handler, cost)
-        self.cost = cost
-        chip.env.call_later(cost, self._fuse_after_cost)
-        return True
-
-    def _fuse_after_cost(self) -> None:
-        """The stepwise ``_after_cost`` instant (handler cost elapsed)."""
-        chip = self.chip
-        action = self.action
-        lat = chip.lat
-        if action.cache_touched:
-            chip._cache_busy(lat.cache_state_retrieve)
-        spec = self.spec
-        if action.needs_memory_data:
-            self.data_ready = spec.data_event
-            self.spec = None
-        elif spec is not None:
-            # Speculative read unused by this action: same bookkeeping as
-            # ``_resolve_spec`` at the same instant.
-            spec.useless = True
-            chip.stats.spec_useless += 1
-            self.spec = None
-        self.send_idx = 0
-        if action.sends:
-            chip.env.call_later(lat.outbox, self._fuse_enq)
-        else:
-            chip.env.call_later(lat.outbox, self._fuse_d0)
-
-    def _fuse_enq(self) -> None:
-        """Checkpoint at the stepwise ``_send_after_outbox`` instant.
-
-        Commit to the fused send only if the NI is verifiably idle *right
-        now* — empty queue, no bundle in flight, and a parked getter (the
-        getter doubles as the "unit is idle" flag).  Anything else means
-        concurrent traffic claimed the unit during the outbox latency, and
-        the stepwise method is invoked directly: same instant, same calendar
-        position, so results are identical to never having fused at all.
-        """
-        chip = self.chip
-        port = chip.net_port
-        oq = port.out_queue
-        mtype = self.action.message.mtype
-        if oq._items or not oq._getters or port._out_bundle is not None:
-            counts = chip.dispatch_stepwise
-            counts[mtype] = counts.get(mtype, 0) + 1
-            self._send_after_outbox()
-            return
-        counts = chip.dispatch_fused
-        counts[mtype] = counts.get(mtype, 0) + 1
-        oq._getters.popleft()   # NI occupied for the fused window
-        oq.total_puts += 1
-        if self.incoming_buffer and self.action.sends[0].carries_data:
-            self._fuse_rel = True   # this send forwards the incoming buffer
-            self.incoming_buffer = False
-        else:
-            self._fuse_rel = False
-        chip.env._ready.append((self._fuse_send_hop, NO_ARG))
-
-    def _fuse_send_hop(self) -> None:
-        """Ready hop at the enqueue instant, merging the NI pickup
-        (``_on_out_bundle`` — the data source is resolved, so it reduces to
-        one ``call_later``) with the PP's ``_send_sent`` advance.  The two
-        stepwise dispatches are adjacent in the ready queue, so one hop
-        carries both side-effect sequences in their original order."""
-        chip = self.chip
-        env = chip.env
-        env.call_later(chip.lat.ni_outbound, self._fuse_launch)
-        if self.action.cpu_deliver is not None:
-            env.call_later(chip.lat.outbox,
-                           self._fuse_d0 if _FUSE_DELIVER
-                           else self._deliver_after_outbox)
-        else:
-            self._fused_finish()
-
-    def _fuse_launch(self) -> None:
-        """The stepwise ``_out_fault_step`` instant: launch the message,
-        free a forwarded buffer at the ready position its done-event
-        dispatch occupied, and re-arm the NI — which picks up any traffic
-        that queued behind the fused window, preserving FIFO order."""
-        chip = self.chip
-        port = chip.net_port
-        port._network._launch(self.action.sends[0])
-        if self._fuse_rel:
-            chip.env._ready.append((chip._bufrel_cb, NO_ARG))
-        port._outbound_next()
-        if _getrefcount is not None and self.action.cpu_deliver is None:
-            # Last calendar entry of the sends-only chain: the incoming
-            # message is dead unless something beyond the enumerated
-            # references (the action's attribute, our local, getrefcount's
-            # argument) still holds it — e.g. the outbound message IS the
-            # incoming one, in which case the network owns it and the count
-            # stays high, skipping the recycle.
-            message = self.action.message
-            if _getrefcount(message) == 3:
-                _MSG_POOL.append(message)
-
-    def _fuse_d0(self) -> None:
-        """Checkpoint at the stepwise ``_deliver_after_outbox`` instant —
-        the same commit-or-rejoin discipline as ``_fuse_enq``, for the
-        outbound PI."""
-        chip = self.chip
-        poq = chip.pi_out_q
-        deliver_only = not self.action.sends
-        if poq._items or not poq._getters or chip._po_bundle is not None:
-            if deliver_only:
-                mtype = self.action.message.mtype
-                counts = chip.dispatch_stepwise
-                counts[mtype] = counts.get(mtype, 0) + 1
-            self._deliver_after_outbox()
-            return
-        if deliver_only:
-            mtype = self.action.message.mtype
-            counts = chip.dispatch_fused
-            counts[mtype] = counts.get(mtype, 0) + 1
-        poq._getters.popleft()  # outbound PI occupied for the fused window
-        poq.total_puts += 1
-        self._fuse_release = self.incoming_buffer
-        self.incoming_buffer = False
-        chip.env._ready.append((self._fuse_po_hop, NO_ARG))
-
-    def _fuse_po_hop(self) -> None:
-        """Ready hop at the deliver-enqueue instant, merging the PO pickup
-        (``_po_on_bundle`` → ``_po_after_wait``, data resolved) with the PP
-        epilogue (``_finish``) — adjacent stepwise dispatches."""
-        chip = self.chip
-        chip.env.call_later(chip._lat_po_out, self._fused_deliver)
-        self._fused_finish()
-
-    def _fused_finish(self) -> None:
-        """PP epilogue at the instant stepwise ``_finish`` would run (the
-        observer branches are statically absent: fusion required them off)."""
-        chip = self.chip
-        if self.incoming_buffer:
-            chip.data_buffers.release()
-            self.incoming_buffer = False
-        chip.stats.pp_busy += chip.env._now - self.start
-        done_cb = self.done_cb
-        if done_cb is not None:
-            done_cb()
-
-    def _fused_deliver(self) -> None:
-        """Outbound-PI epilogue at the instant stepwise ``_po_deliver`` would
-        run: deliver to the CPU, free a forwarded buffer at the ready
-        position its done-event dispatch occupied, replay deferred work,
-        re-arm the outbound PI."""
-        chip = self.chip
-        message = self.action.cpu_deliver
-        chip._cpu_deliver(message)
-        if self._fuse_release:
-            chip.env._ready.append((chip._bufrel_cb, NO_ARG))
-        actions = chip.engine.replay_stable(message.line_addr)
-        if actions:
-            runner = _ActionRunner(chip, actions, None, False, None)
-            chip.env.call_soon(runner.run)  # mirrors the replay process start
-        chip._po_next()
-        if _getrefcount is not None:
-            # Last calendar entry of any deliver-bearing chain: retire the
-            # delivered message and the incoming message once the enumerated
-            # references (action attributes, our locals, getrefcount's
-            # argument) are provably the only ones left.  REPLY_TO_PROC
-            # delivers the incoming message itself, so the aliased case
-            # counts both attributes and both locals against one object.
-            incoming = self.action.message
-            if message is incoming:
-                if _getrefcount(message) == 5:
-                    _MSG_POOL.append(message)
-            else:
-                if _getrefcount(message) == 3:
-                    _MSG_POOL.append(message)
-                if _getrefcount(incoming) == 3:
-                    _MSG_POOL.append(incoming)
 
     # -- handler execution --------------------------------------------------------
 
@@ -650,17 +410,11 @@ class MagicChip:
         # Inbox latency-chain sums: stages with no side effect between them
         # ride one calendar entry (see DESIGN.md "Performance engineering").
         self._lat_pi_arb = lat.pi_inbound + lat.inbox_arbitration
-        self._lat_po_out = lat.pi_outbound + lat.pi_outbound_bus_transit
         self._spec_enabled = config.speculative_reads
-        # Macro-op fusion (DESIGN.md §5h): contention-free actions schedule
-        # their completion instants analytically instead of stepping through
-        # the outbox/NI/PI state machines.  The census dicts count dispatch
-        # decisions per message class (perf_smoke reports them; a fallback-
-        # rate regression shows up as a growing stepwise share).
-        self._fusion = fusion_from_env()
-        self.dispatch_fused: Dict[MT, int] = {}
+        # Handler dispatches per message type.  ``dispatch_fused`` is always
+        # empty; it stays because bench/child.py reads it.
         self.dispatch_stepwise: Dict[MT, int] = {}
-        self._bufrel_cb = self.data_buffers.release
+        self.dispatch_fused: Dict[MT, int] = {}
         # Bound once; scheduled thousands of times.
         self._ib_next_cb = self._ib_next
         self._ib_acquire_cb = self._ib_acquire

@@ -52,7 +52,7 @@ from ..caches.setassoc import CacheState, SetAssocCache
 from ..common.errors import WorkloadError
 from ..common.params import MachineConfig
 from ..common.units import CACHE_LINE_BYTES, line_address
-from ..protocol.messages import Message, MessageType as MT, acquire as _acquire
+from ..protocol.messages import Message, MessageType as MT
 from ..sim.engine import Environment, Event
 from ..stats.breakdown import CpuTimes
 from .sync import SyncDomain
@@ -630,7 +630,7 @@ class CPU:
                             self._rm_submit_cb)
 
     def _rm_submit(self) -> None:
-        message = _acquire(MT.GET, self._miss_line, self.node_id, self.node_id,
+        message = Message(MT.GET, self._miss_line, self.node_id, self.node_id,
                           self.node_id, is_write=False)
         self.controller.pi_submit_cb(message, self._rm_wait_cb)
 
@@ -690,7 +690,7 @@ class CPU:
 
     def _wm_submit(self) -> None:
         mtype = MT.UPGRADE if self._miss_state == CacheState.SHARED else MT.GETX
-        message = _acquire(mtype, self._miss_line, self.node_id, self.node_id,
+        message = Message(mtype, self._miss_line, self.node_id, self.node_id,
                           self.node_id, is_write=True)
         self.controller.pi_submit_cb(message, self._wm_done_cb)
 
@@ -828,7 +828,7 @@ class CPU:
             self.tracer.txn_issue(self.node_id, line, True, self.env.now)
         self.mshrs.allocate(line, True, self.env.now)
         mtype = MT.UPGRADE if state == CacheState.SHARED else MT.GETX
-        message = _acquire(mtype, line, self.node_id, self.node_id,
+        message = Message(mtype, line, self.node_id, self.node_id,
                           self.node_id, is_write=True)
         yield self.controller.pi_submit(message)
 
@@ -856,7 +856,7 @@ class CPU:
 
     def _evict_post(self, pair) -> None:
         mtype, line = pair
-        message = _acquire(mtype, line, self.node_id, self.node_id,
+        message = Message(mtype, line, self.node_id, self.node_id,
                           self.node_id)
         if self.oracle is not None:
             self.oracle.on_evict(self.node_id, line, mtype, message)

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional
 from ..caches.setassoc import CacheState
 from ..common.errors import ProtocolError
 from .directory import Directory
-from .messages import Message, MessageType as MT, acquire as _acquire
+from .messages import Message, MessageType as MT
 
 __all__ = ["Handler", "Action", "NodeProtocolEngine", "MissClass"]
 
@@ -231,7 +231,7 @@ class NodeProtocolEngine:
             return self._home_request(msg)
         remote = {MT.GET: MT.REMOTE_GET, MT.GETX: MT.REMOTE_GETX,
                   MT.UPGRADE: MT.REMOTE_UPGRADE}[msg.mtype]
-        out = _acquire(remote, msg.line_addr, self.node_id,
+        out = Message(remote, msg.line_addr, self.node_id,
                       self.home_of(msg.line_addr), msg.requester,
                       is_write=msg.mtype != MT.GET)
         return [Action(Handler.MISS_FORWARD, msg, sends=[out])]
@@ -239,14 +239,14 @@ class NodeProtocolEngine:
     def _cpu_writeback(self, msg: Message) -> List[Action]:
         if self._is_home(msg.line_addr):
             return self._home_writeback(msg)
-        out = _acquire(MT.REMOTE_WRITEBACK, msg.line_addr, self.node_id,
+        out = Message(MT.REMOTE_WRITEBACK, msg.line_addr, self.node_id,
                       self.home_of(msg.line_addr), msg.requester)
         return [Action(Handler.WRITEBACK_FORWARD, msg, sends=[out])]
 
     def _cpu_hint(self, msg: Message) -> List[Action]:
         if self._is_home(msg.line_addr):
             return self._home_hint(msg)
-        out = _acquire(MT.REMOTE_REPL_HINT, msg.line_addr, self.node_id,
+        out = Message(MT.REMOTE_REPL_HINT, msg.line_addr, self.node_id,
                       self.home_of(msg.line_addr), msg.requester)
         return [Action(Handler.HINT_FORWARD, msg, sends=[out])]
 
@@ -338,7 +338,7 @@ class NodeProtocolEngine:
                 action.sends = [reply]
             return action
         entry.pending = True
-        forward = _acquire(MT.FORWARD_GET, line, self.node_id, entry.owner,
+        forward = Message(MT.FORWARD_GET, line, self.node_id, entry.owner,
                           msg.requester, is_write=False)
         handler = Handler.GET_LOCAL_FORWARD if local else Handler.GET_HOME_FORWARD
         return Action(
@@ -372,7 +372,7 @@ class NodeProtocolEngine:
                     action.sends = [reply]
                 return action
             entry.pending = True
-            forward = _acquire(MT.FORWARD_GETX, line, self.node_id, entry.owner,
+            forward = Message(MT.FORWARD_GETX, line, self.node_id, entry.owner,
                               msg.requester, is_write=True)
             handler = Handler.GETX_LOCAL_FORWARD if local else Handler.GETX_HOME_FORWARD
             return Action(
@@ -401,10 +401,10 @@ class NodeProtocolEngine:
                 # and ack the requester directly.
                 self._cache_invalidate(line)
                 cache_touched = True
-                sends.append(_acquire(MT.INVAL_ACK, line, self.node_id,
+                sends.append(Message(MT.INVAL_ACK, line, self.node_id,
                                      msg.requester, msg.requester, is_write=True))
             else:
-                sends.append(_acquire(MT.INVAL, line, self.node_id, node,
+                sends.append(Message(MT.INVAL, line, self.node_id, node,
                                      msg.requester, is_write=True))
         addrs += self.directory.set_dirty(line, msg.requester)
         if is_upgrade and requester_had_copy:
@@ -473,15 +473,15 @@ class NodeProtocolEngine:
         if state != CacheState.DIRTY:
             # The line was written back (writeback in flight to home): NAK so
             # the home can retry the request after the writeback lands.
-            nak = _acquire(MT.NAK, line, self.node_id, home, msg.requester,
+            nak = Message(MT.NAK, line, self.node_id, home, msg.requester,
                           is_write=msg.mtype == MT.FORWARD_GETX)
             return [Action(Handler.GET_OWNER if msg.mtype == MT.FORWARD_GET
                            else Handler.GETX_OWNER, msg, sends=[nak])]
         if msg.mtype == MT.FORWARD_GET:
             self._cache_downgrade(line)
-            reply = _acquire(MT.PUT, line, self.node_id, msg.requester,
+            reply = Message(MT.PUT, line, self.node_id, msg.requester,
                             msg.requester, is_write=False)
-            sharing = _acquire(MT.SHARING_WRITEBACK, line, self.node_id, home,
+            sharing = Message(MT.SHARING_WRITEBACK, line, self.node_id, home,
                               msg.requester)
             # The sharing writeback is composed first; when home == requester
             # this makes the home absorb the directory update before the
@@ -489,9 +489,9 @@ class NodeProtocolEngine:
             return [Action(Handler.GET_OWNER, msg, cache_retrieve=True,
                            cache_touched=True, sends=[sharing, reply])]
         self._cache_invalidate(line)
-        reply = _acquire(MT.PUTX, line, self.node_id, msg.requester,
+        reply = Message(MT.PUTX, line, self.node_id, msg.requester,
                         msg.requester, is_write=True, n_invals=0)
-        transfer = _acquire(MT.OWNERSHIP_TRANSFER, line, self.node_id, home,
+        transfer = Message(MT.OWNERSHIP_TRANSFER, line, self.node_id, home,
                            msg.requester, is_write=True)
         return [Action(Handler.GETX_OWNER, msg, cache_retrieve=True,
                        cache_touched=True, sends=[reply, transfer])]
@@ -535,7 +535,7 @@ class NodeProtocolEngine:
         retry_type = MT.REMOTE_GETX if msg.is_write else MT.REMOTE_GET
         if msg.requester == self.node_id:
             retry_type = MT.GETX if msg.is_write else MT.GET
-        retry = _acquire(retry_type, line, msg.requester, self.node_id,
+        retry = Message(retry_type, line, msg.requester, self.node_id,
                         msg.requester, is_write=msg.is_write)
         head = self._checked([action])
         retried = self._checked(self._home_request(retry))
@@ -578,7 +578,7 @@ class NodeProtocolEngine:
             # wedging the writer's ack collection — a deadlock the watchdog
             # / drained-schedule check must convert into a typed failure.
             return [Action(Handler.INVAL_RECEIVE, msg, cache_touched=True)]
-        ack = _acquire(MT.INVAL_ACK, msg.line_addr, self.node_id, msg.requester,
+        ack = Message(MT.INVAL_ACK, msg.line_addr, self.node_id, msg.requester,
                       msg.requester, is_write=True)
         return [Action(Handler.INVAL_RECEIVE, msg, cache_touched=True,
                        sends=[ack])]

@@ -10,24 +10,9 @@ original requester (needed for three-hop transactions).
 from __future__ import annotations
 
 import itertools
-import sys
 from typing import Optional
 
-__all__ = ["MessageType", "Message", "DATA_BEARING", "acquire"]
-
-# Message recycling relies on CPython reference-count semantics to prove a
-# retired message unreachable (same discipline as the event-kernel pools in
-# repro.sim.engine); under mypyc or another interpreter the free-list stays
-# empty and every construction allocates.
-_COMPILED = not __file__.endswith(".py")
-RECYCLING = sys.implementation.name == "cpython" and not _COMPILED
-
-#: Constructor free-list.  The fused epilogues in ``magic.chip`` and
-#: ``ideal.controller`` retire messages here when an inline refcount check
-#: proves nothing else can see them; :meth:`Message.reply` — the protocol-hop
-#: constructor — draws from it.  Recycled messages get a fresh ``uid``, so
-#: uid-keyed state (the speculation table) never aliases across lives.
-FREE_LIST: list = []
+__all__ = ["MessageType", "Message", "DATA_BEARING"]
 
 
 class MessageType:
@@ -132,24 +117,6 @@ class Message:
 
     def reply(self, mtype: str, dst: Optional[int] = None, **kwargs) -> "Message":
         """Construct a follow-on message for the same transaction."""
-        if FREE_LIST and not kwargs:
-            # Recycle a retired message: every slot is rewritten, so no state
-            # leaks from its previous life.  ``line_addr`` was validated when
-            # ``self`` was built, so the constructor check is redundant here.
-            message = FREE_LIST.pop()
-            message.mtype = mtype
-            message.line_addr = self.line_addr
-            message.src = self.dst
-            message.dst = self.requester if dst is None else dst
-            message.requester = self.requester
-            message.is_write = self.is_write
-            message.n_invals = 0
-            message.data_stale = False
-            message.nbytes = 0
-            message.orig = None
-            message.uid = next(_sequence)
-            message.carries_data = mtype in DATA_BEARING
-            return message
         return Message(
             mtype=mtype,
             line_addr=self.line_addr,
@@ -166,33 +133,3 @@ class Message:
             f"{self.src}->{self.dst}, req={self.requester})"
         )
 
-
-def acquire(mtype: str, line_addr: int, src: int, dst: int, requester: int,
-            is_write: bool = False, n_invals: int = 0,
-            data_stale: bool = False) -> Message:
-    """Pool-aware constructor for the hot protocol paths.
-
-    Semantically identical to ``Message(...)`` for the parameters it accepts
-    (the rare ``nbytes``/``orig``/``uid`` construction sites keep calling the
-    class directly); when the free-list has a retired message it is rewritten
-    in place instead of allocating.
-    """
-    if FREE_LIST:
-        if line_addr < 0:
-            raise ValueError(f"negative line address {line_addr}")
-        message = FREE_LIST.pop()
-        message.mtype = mtype
-        message.line_addr = line_addr
-        message.src = src
-        message.dst = dst
-        message.requester = requester
-        message.is_write = is_write
-        message.n_invals = n_invals
-        message.data_stale = data_stale
-        message.nbytes = 0
-        message.orig = None
-        message.uid = next(_sequence)
-        message.carries_data = mtype in DATA_BEARING
-        return message
-    return Message(mtype, line_addr, src, dst, requester, is_write,
-                   n_invals, data_stale)

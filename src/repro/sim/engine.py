@@ -519,14 +519,9 @@ class Environment:
                 arg: Any = _NO_ARG) -> None:
         """Schedule ``callback(arg)`` at the *absolute* instant ``when``.
 
-        ``call_later`` derives the firing time as ``now + delay``; float
-        addition is not associative, so a caller that precomputed a chain of
-        stepwise instants (the macro-op fusion layer) cannot express them as
-        a summed delay without risking a different calendar-bucket key.
-        This primitive takes the exact float the stepwise chain would have
-        produced.  ``when`` in the past is a kernel-misuse error; ``when``
-        equal to the current time routes to the ready deque like any other
-        current-time work.
+        Takes the exact float key rather than ``now + delay`` (float
+        addition is not associative).  No simulator component calls it;
+        it stays because ``bench/layers.py`` wraps it by name.
         """
         if when < self._now:
             raise SimulationError(

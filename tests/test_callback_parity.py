@@ -10,6 +10,8 @@ covers the combinations and the profiling story:
   leave the core result byte-identical: stripped of the blocks only they
   serialize (``latency_decomposition``, ``critpath``, ``metrics``), the
   result hashes to the very same golden SHA-256 as the bare run;
+* **one controller pipeline** — a traced and metered run dispatches every
+  handler exactly as a plain run does, per message type;
 * **profile attribution** — the callback frames land in the same
   per-subsystem buckets (``cpu``, ``protocol``, ``network``, ``memory``,
   ``kernel``) the coroutine frames did, because attribution keys on file
@@ -71,6 +73,30 @@ class TestAllObservabilityOn:
         agg_mem = sum(result.memory_occupancy) * elapsed
         assert decomp["totals"]["pp"] == pytest.approx(agg_pp, rel=1e-9)
         assert decomp["totals"]["memory"] == pytest.approx(agg_mem, rel=1e-9)
+
+
+class TestObserversKeepThePipeline:
+    """Observing a run must not change which controller code runs."""
+
+    @staticmethod
+    def _census(spec):
+        machine, ops, _ = experiments.build_machine(spec)
+        machine.run(ops)
+        counts = {}
+        for node in machine.nodes:
+            assert not node.controller.dispatch_fused
+            for mtype, count in node.controller.dispatch_stepwise.items():
+                counts[mtype] = counts.get(mtype, 0) + count
+        return counts
+
+    @pytest.mark.parametrize("kind", ["flash", "ideal"])
+    def test_observed_dispatch_census_matches_plain(self, kind):
+        combo = f"mp3d/{kind}"
+        plain = self._census(_golden_spec(combo))
+        observed = self._census(_golden_spec(combo, trace=True,
+                                             metrics=True))
+        assert sum(plain.values()) > 0
+        assert observed == plain
 
 
 class TestProfileAttribution:

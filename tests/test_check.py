@@ -2,7 +2,7 @@
 
 The checker's own correctness is established two ways: clean protocols
 pass under heavy contention (no false positives across protocol x machine
-x fusion combinations), and each deliberately-seeded protocol mutation is
+combinations), and each deliberately-seeded protocol mutation is
 caught and shrunk to a small replayable reproducer (no false negatives
 for the bug classes the oracle claims to cover).
 """
@@ -41,13 +41,25 @@ class TestCleanMatrix:
         assert report.ok, report.error
         assert report.checked_ops > 200
 
-    def test_fusion_modes_agree(self):
-        fused = run_check(CheckSpec(seed=0, ops=150, nodes=4, fusion=True))
-        stepwise = run_check(CheckSpec(seed=0, ops=150, nodes=4,
-                                       fusion=False))
-        assert fused.ok and stepwise.ok
-        assert fused.checked_ops == stepwise.checked_ops
-        assert fused.execution_time == stepwise.execution_time
+
+class TestKnownSWMRViolation:
+    """A 16-node contended flash run breaks SWMR at an exclusive fill (a
+    writer's fill lands while another node still holds the line shared);
+    the same traffic on the ideal machine passes.  Pinned here so a
+    protocol fix flips the xfail loudly."""
+
+    SPEC = CheckSpec(seed=0, ops=1000, nodes=16, lines=64)
+
+    @pytest.mark.xfail(strict=True,
+                       reason="known flash SWMR violation at an exclusive"
+                              " fill")
+    def test_flash(self):
+        report = run_check(self.SPEC)
+        assert report.ok, report.error
+
+    def test_ideal_twin_passes(self):
+        report = run_check(self.SPEC.with_changes(kind="ideal"))
+        assert report.ok, report.error
 
 
 class TestObserverPurity:
@@ -133,10 +145,17 @@ class TestSpecPlumbing:
                          fault_rate=0.05, mutation="no_ack")
         assert CheckSpec.from_dict(spec.to_dict()) == spec
 
+    def test_from_dict_loads_legacy_fusion_key(self):
+        # Reproducers saved while the controllers had a fusion axis carry
+        # a "fusion" field; it must still load (and is ignored).
+        for fusion in (True, False):
+            state = dict(CheckSpec(seed=3, ops=40).to_dict(), fusion=fusion)
+            assert CheckSpec.from_dict(state) == CheckSpec(seed=3, ops=40)
+
     def test_iter_specs_skips_invalid_fault_combos(self):
         specs = list(iter_specs([0], ops=10, nodes=2, lines=2,
                                 protocols=("base",), kinds=("flash", "ideal"),
-                                fusion_modes=(True,), fault_rates=(0.0, 0.1)))
+                                fault_rates=(0.0, 0.1)))
         assert all(s.kind == "flash" for s in specs if s.fault_rate)
         assert {s.kind for s in specs} == {"flash", "ideal"}
 
@@ -172,8 +191,7 @@ class TestCheckCLI:
         from repro.harness.__main__ import main
 
         code = main(["check", "--seed", "0", "--ops", "100",
-                     "--protocols", "base", "--kinds", "flash",
-                     "--fusion", "fused", "--json"])
+                     "--protocols", "base", "--kinds", "flash", "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "ok"
@@ -185,7 +203,7 @@ class TestCheckCLI:
 
         code = main(["check", "--seed", "0", "--ops", "400",
                      "--protocols", "base", "--kinds", "flash",
-                     "--fusion", "fused", "--mutate", "skip_inval",
+                     "--mutate", "skip_inval",
                      "--out-dir", str(tmp_path), "--json"])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
