@@ -24,33 +24,47 @@ LINK_BYTES = 8
 
 class LinkStore:
     """Pool of sharer-list links with a free list, as in dynamic pointer
-    allocation.  Each link is (node, next_index)."""
+    allocation.  Each link is (node, next_index).
+
+    The pool is materialised on demand: ``_node``/``_next`` grow by one
+    slot each time a never-used link is handed out, and ``_free`` holds
+    only links that have been freed.  This hands out the same indices, in
+    the same order, as a free list pre-filled with ``capacity - 1 .. 0``:
+    fresh links come in ascending order, and freed links are reused LIFO
+    first.  A default machine touches a handful of links per node out of
+    64K, so nothing is paid for the unused ones.
+    """
 
     def __init__(self, capacity: int, base_addr: int):
         if capacity < 1:
             raise ConfigError("link store needs at least one link")
         self.capacity = capacity
         self.base_addr = base_addr
-        self._node: List[int] = [0] * capacity
-        self._next: List[Optional[int]] = [None] * capacity
-        self._free: List[int] = list(range(capacity - 1, -1, -1))
+        self._node: List[int] = []
+        self._next: List[Optional[int]] = []
+        self._free: List[int] = []
         self.peak_used = 0
         self.total_allocated = 0
         self.total_freed = 0
 
     @property
     def used(self) -> int:
-        return self.capacity - len(self._free)
+        return len(self._node) - len(self._free)
 
     def addr_of(self, index: int) -> int:
         return self.base_addr + index * LINK_BYTES
 
     def allocate(self, node: int, next_index: Optional[int]) -> int:
-        if not self._free:
-            raise ProtocolError("directory link store exhausted")
-        index = self._free.pop()
-        self._node[index] = node
-        self._next[index] = next_index
+        if self._free:
+            index = self._free.pop()
+            self._node[index] = node
+            self._next[index] = next_index
+        else:
+            index = len(self._node)
+            if index == self.capacity:
+                raise ProtocolError("directory link store exhausted")
+            self._node.append(node)
+            self._next.append(next_index)
         self.total_allocated += 1
         self.peak_used = max(self.peak_used, self.used)
         return index

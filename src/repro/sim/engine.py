@@ -406,7 +406,7 @@ class Environment:
         self._event_pool: List[Event] = []
         # Robustness hooks (repro.sim.watchdog): every BoundedQueue /
         # CountingResource registers itself here for stall diagnosis, and an
-        # attached watchdog routes run() through the instrumented loop.
+        # attached watchdog is ticked by run()'s dispatch countdown.
         self._queues: List[Any] = []
         self._watchdog = None
         # Observability anchor (repro.stats.trace): the Machine parks its
@@ -572,9 +572,9 @@ class Environment:
         return AnyOf(self, events)
 
     def attach_watchdog(self, watchdog) -> None:
-        """Route ``run()`` through the instrumented loop that ticks
-        ``watchdog`` (see :class:`repro.sim.watchdog.Watchdog`); pass None
-        to detach and return to the fast loop."""
+        """Have ``run()`` tick ``watchdog`` every ``check_interval``
+        dispatches (see :class:`repro.sim.watchdog.Watchdog`); pass None
+        to detach."""
         self._watchdog = watchdog
 
     def run(self, until: Optional[float] = None) -> float:
@@ -584,8 +584,14 @@ class Environment:
         ``until``, the clock still advances to ``until`` (callers rely on
         ``now == until`` for rate and occupancy computations).
         """
-        if self._watchdog is not None:
-            return self._run_watched(until)
+        # Watchdog countdown: an attached watchdog is ticked every
+        # ``check_interval`` dispatches.  Unwatched, the countdown starts
+        # below zero and only falls, so it never reaches zero.
+        watchdog = self._watchdog
+        if watchdog is None:
+            interval = countdown = -1
+        else:
+            interval = countdown = watchdog.check_interval
         ready = self._ready
         whens = self._whens
         buckets = self._buckets
@@ -620,6 +626,11 @@ class Environment:
             # Timeouts/Events are recycled into their pools when the
             # refcount proves nobody else can see them.
             while ready:
+                countdown -= 1
+                if not countdown:
+                    countdown = interval
+                    watchdog.events_dispatched += interval
+                    watchdog.check()
                 event = ready.popleft()
                 cls = event.__class__
                 if cls is cls_tuple:
@@ -693,6 +704,11 @@ class Environment:
             bucket = buckets.pop(when)
             bucket.reverse()
             while bucket:
+                countdown -= 1
+                if not countdown:
+                    countdown = interval
+                    watchdog.events_dispatched += interval
+                    watchdog.check()
                 event = bucket.pop()
                 cls = event.__class__
                 if cls is cls_tuple:
@@ -722,78 +738,8 @@ class Environment:
                 else:
                     event._dispatch()
             # The drained list is empty: recycle it for the next distinct
-            # timestamp (the watched loop skips this, like the object pools).
+            # timestamp.
             bucket_pool.append(bucket)
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
-
-    def _run_watched(self, until: Optional[float] = None) -> float:
-        """``run()`` with a watchdog attached: dispatches every event
-        generically (no inlining, no object pooling) and ticks the watchdog
-        every ``check_interval`` events.
-
-        Dispatch *order* is identical to the fast loop — same ready-deque /
-        calendar-bucket structure, same died-process check — so observable
-        results are byte-identical; only wall-clock speed differs.  Pools
-        are never refilled here, which is safe: ``timeout()``/queue draws
-        degrade to plain allocation when the pools are empty.
-        """
-        ready = self._ready
-        whens = self._whens
-        buckets = self._buckets
-        heappop = heapq.heappop
-        watchdog = self._watchdog
-        interval = watchdog.check_interval
-        countdown = interval
-        while True:
-            while ready:
-                countdown -= 1
-                if countdown <= 0:
-                    countdown = interval
-                    watchdog.events_dispatched += interval
-                    watchdog.check()
-                event = ready.popleft()
-                if event.__class__ is tuple:
-                    callback, arg = event
-                    if arg is _NO_ARG:
-                        callback()
-                    else:
-                        callback(arg)
-                    continue
-                if (
-                    not event._ok
-                    and not event.callbacks
-                    and event._value is not PENDING
-                    and isinstance(event, Process)
-                ):
-                    raise event._value
-                event._dispatch()
-            if not whens:
-                break
-            when = whens[0]
-            if until is not None and when > until:
-                self._now = until
-                return until
-            heappop(whens)
-            self._now = when
-            bucket = buckets.pop(when)
-            bucket.reverse()
-            while bucket:
-                countdown -= 1
-                if countdown <= 0:
-                    countdown = interval
-                    watchdog.events_dispatched += interval
-                    watchdog.check()
-                event = bucket.pop()
-                if event.__class__ is tuple:
-                    callback, arg = event
-                    if arg is _NO_ARG:
-                        callback()
-                    else:
-                        callback(arg)
-                else:
-                    event._dispatch()
         if until is not None and until > self._now:
             self._now = until
         return self._now

@@ -10,19 +10,20 @@ A wedged simulation fails in one of two ways:
   is still incomplete.  ``env.run()`` returns, but the machine never
   finished.
 
-:class:`Watchdog` covers both: attached to an :class:`Environment` it routes
-``run()`` through an instrumented loop that checks a configurable event /
-virtual-time budget against a caller-supplied forward-progress counter, and
+:class:`Watchdog` covers both: attached to an :class:`Environment` it is
+ticked by ``run()`` every ``check_interval`` dispatches and checks a
+configurable event / virtual-time budget against a caller-supplied
+forward-progress counter, and
 :meth:`Watchdog.check_complete` turns a drained-but-unfinished run into the
 same typed error.  Either path raises :class:`SimStalledError` carrying a
 :class:`StallDiagnosis` — per-queue occupancy high-water marks, blocked
 process wait edges, and the oldest in-flight message per node — instead of
 hanging pytest forever.
 
-The instrumented loop dispatches events in exactly the same order as the
-fast loop in :mod:`repro.sim.engine` (it only skips the object-pooling fast
-paths), so results with a watchdog attached are byte-identical to results
-without one.
+There is one run loop, watched or not: the tick is a countdown inside
+:meth:`repro.sim.engine.Environment.run` that an unwatched run never
+reaches, so a watched run keeps the inlined dispatch and the object pools,
+dispatches in exactly the same order, and gives byte-identical results.
 """
 
 from __future__ import annotations
@@ -322,9 +323,9 @@ class Watchdog:
         env.attach_watchdog(self)
 
     def check(self) -> None:
-        """Called by the instrumented run loop every ``check_interval``
-        events; raises :class:`SimStalledError` when a budget is exhausted
-        without forward progress."""
+        """Called by the run loop every ``check_interval`` events; raises
+        :class:`SimStalledError` when a budget is exhausted without forward
+        progress."""
         if self.progress_fn is not None:
             progress = self.progress_fn()
             if progress != self._last_progress:

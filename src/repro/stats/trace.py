@@ -39,7 +39,7 @@ exact regardless of buffer size.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..protocol.coherence import MissClass
 
@@ -178,6 +178,7 @@ class Tracer:
         self.txns_started = 0
         self.txns_retired = 0
         self._pp_enqueue: Dict[int, float] = {}   # message uid -> enqueue ts
+        self._pp_taken_early: Set[int] = set()   # dequeued before enqueue
         #: (t, [pp_occ per node], [mem_occ per node], [queue depth per node])
         self.timeseries: List[Tuple] = []
         #: LatencyMonitor (repro.stats.latency), attached by the Machine for
@@ -214,26 +215,27 @@ class Tracer:
     # -- span recording ----------------------------------------------------------
 
     def _span(self, node: int, track: str, name: str, t0: float, t1: float,
-              msg=None) -> None:
-        if msg is not None:
-            args = (msg.mtype, msg.line_addr, msg.requester)
-            txn = self._active.get((msg.requester, msg.line_addr))
-            if txn is not None:
-                txn.tail.append((t1, f"{track}:{name}@node{node}"))
-        else:
-            args = None
+              msg, txn: Optional[_Txn]) -> None:
+        """Record one span of ``msg``; ``txn`` is its in-flight transaction
+        (looked up once by the caller), whose tail also gets the span."""
+        if txn is not None:
+            txn.tail.append((t1, track, name, node))
         if self.node_filter is not None and node not in self.node_filter:
             return
         spans = self.spans
         if spans.maxlen is not None and len(spans) == spans.maxlen:
             self.spans_dropped += 1
-        spans.append((t0, t1 - t0, node, track, name, args))
+        spans.append((t0, t1 - t0, node, track, name,
+                      (msg.mtype, msg.line_addr, msg.requester)))
 
-    def _charge(self, component: str, requester, line, cycles: float) -> None:
+    def _txn_of(self, msg) -> Optional[_Txn]:
+        return self._active.get((msg.requester, msg.line_addr))
+
+    def _charge(self, component: str, txn: Optional[_Txn],
+                cycles: float) -> None:
         if cycles <= 0.0:
             return
         self.totals[component] += cycles
-        txn = self._active.get((requester, line))
         if txn is not None:
             txn.comp[component] += cycles
         else:
@@ -244,7 +246,7 @@ class Tracer:
     def txn_issue(self, node: int, line: int, is_write: bool, ts: float) -> None:
         self.txns_started += 1
         txn = _Txn(node, line, is_write, ts)
-        txn.tail.append((ts, f"issue@node{node}"))
+        txn.tail.append((ts, None, "issue", node))
         self._active[(node, line)] = txn
         if self.node_filter is None or node in self.node_filter:
             name = "issue:GETX" if is_write else "issue:GET"
@@ -317,35 +319,44 @@ class Tracer:
     # -- MAGIC / ideal controller -------------------------------------------------
 
     def inbox_span(self, node: int, msg, t0: float, t1: float) -> None:
-        self._span(node, "inbox", msg.mtype, t0, t1, msg)
+        self._span(node, "inbox", msg.mtype, t0, t1, msg, self._txn_of(msg))
 
     def pp_enqueue(self, uid: int, ts: float) -> None:
+        # A put to an idle PP hands the message straight to its waiting
+        # get, whose callback (``pp_dequeue``) fires before the put's: the
+        # message never waited, so there is nothing to time.
+        if uid in self._pp_taken_early:
+            self._pp_taken_early.remove(uid)
+            return
         self._pp_enqueue[uid] = ts
 
     def pp_dequeue(self, node: int, msg, ts: float) -> None:
         t0 = self._pp_enqueue.pop(msg.uid, None)
-        if t0 is not None and ts > t0:
-            self._charge("queue", msg.requester, msg.line_addr, ts - t0)
-            self._span(node, "pp", "queue_wait", t0, ts, msg)
+        if t0 is None:
+            self._pp_taken_early.add(msg.uid)
+        elif ts > t0:
+            txn = self._txn_of(msg)
+            self._charge("queue", txn, ts - t0)
+            self._span(node, "pp", "queue_wait", t0, ts, msg, txn)
 
     def pp_span(self, node: int, handler: str, msg, t0: float, t1: float) -> None:
         """Mirrors one ``stats.pp_busy +=`` site exactly."""
         cycles = t1 - t0
-        self._charge("pp", msg.requester, msg.line_addr, cycles)
+        txn = self._txn_of(msg)
+        self._charge("pp", txn, cycles)
         if cycles > 0.0:
             self.pp_handler_totals[handler] = (
                 self.pp_handler_totals.get(handler, 0.0) + cycles)
-            txn = self._active.get((msg.requester, msg.line_addr))
             if txn is not None:
                 txn.handlers[handler] = txn.handlers.get(handler, 0.0) + cycles
-        self._span(node, "pp", handler, t0, t1, msg)
+        self._span(node, "pp", handler, t0, t1, msg, txn)
 
     def pi_out_span(self, node: int, msg, t0: float, t1: float) -> None:
-        self._span(node, "pi", msg.mtype, t0, t1, msg)
+        self._span(node, "pi", msg.mtype, t0, t1, msg, self._txn_of(msg))
 
     def deferred(self, node: int, msg) -> None:
         ts = self.env._now if self.env is not None else 0.0
-        self._span(node, "pp", "deferred", ts, ts, msg)
+        self._span(node, "pp", "deferred", ts, ts, msg, self._txn_of(msg))
 
     # -- memory ------------------------------------------------------------------
 
@@ -356,10 +367,11 @@ class Tracer:
         service start is queue wait."""
         ctx = request.trace_ctx
         requester, line = ctx if ctx is not None else (None, None)
-        self._charge("memory", requester, line, busy)
+        txn = self._active.get((requester, line))
+        self._charge("memory", txn, busy)
         wait = t0 - request.trace_submit
         if wait > 0.0:
-            self._charge("queue", requester, line, wait)
+            self._charge("queue", txn, wait)
         if self.node_filter is None or node in self.node_filter:
             name = "read" if request.is_read else "write"
             spans = self.spans
@@ -372,9 +384,10 @@ class Tracer:
 
     def net_span(self, node: int, name: str, msg, t0: float, t1: float,
                  charge: bool = True) -> None:
+        txn = self._txn_of(msg)
         if charge:
-            self._charge("network", msg.requester, msg.line_addr, t1 - t0)
-        self._span(node, "net", name, t0, t1, msg)
+            self._charge("network", txn, t1 - t0)
+        self._span(node, "net", name, t0, t1, msg, txn)
 
     # -- time series ---------------------------------------------------------------
 
@@ -428,7 +441,9 @@ class Tracer:
                 "kind": "write" if txn.is_write else "read",
                 "class": txn.cls,
                 "age": now - txn.start,
-                "tail": [f"t={ts:g} {label}" for ts, label in txn.tail],
+                "tail": [f"t={ts:g} {name}@node{node}" if track is None
+                         else f"t={ts:g} {track}:{name}@node{node}"
+                         for ts, track, name, node in txn.tail],
             }
             for txn in oldest[:limit]
         ]

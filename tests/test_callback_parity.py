@@ -11,7 +11,8 @@ covers the combinations and the profiling story:
   serialize (``latency_decomposition``, ``critpath``, ``metrics``), the
   result hashes to the very same golden SHA-256 as the bare run;
 * **one controller pipeline** — a traced and metered run dispatches every
-  handler exactly as a plain run does, per message type;
+  handler exactly as a plain run does, per message type, and a watched run
+  keeps the run loop's object pools;
 * **profile attribution** — the callback frames land in the same
   per-subsystem buckets (``cpu``, ``protocol``, ``network``, ``memory``,
   ``kernel``) the coroutine frames did, because attribution keys on file
@@ -61,7 +62,7 @@ class TestAllObservabilityOn:
 
     def test_decomposition_reconciles_under_watchdog(self, monkeypatch):
         """The traced component totals must still equal the aggregate
-        occupancy counters when the watchdog's instrumented loop is driving
+        occupancy counters when the watchdog is ticking the run loop's
         dispatch (core identity implies it, but assert the traced side
         directly: the decomposition is built from span callbacks riding the
         callback core's dispatch instants)."""
@@ -97,6 +98,29 @@ class TestObserversKeepThePipeline:
                                              metrics=True))
         assert sum(plain.values()) > 0
         assert observed == plain
+
+    @staticmethod
+    def _pool_sizes(spec):
+        machine, ops, _ = experiments.build_machine(spec)
+        machine.run(ops)
+        env = machine.env
+        return (len(env._timeout_pool), len(env._event_pool),
+                len(env._bucket_pool)), machine.watchdog
+
+    def test_watched_run_keeps_the_object_pools(self, monkeypatch):
+        """The watchdog ticks inside the one run loop, so a watched run
+        recycles dead events and calendar buckets exactly as a plain run
+        does.  (This mp3d run draws no Timeouts, so that pool stays empty
+        either way; the event and bucket pools carry the check.)"""
+        spec = _golden_spec("mp3d/flash")
+        monkeypatch.setenv("REPRO_WATCHDOG", "off")
+        plain, _ = self._pool_sizes(spec)
+        monkeypatch.setenv("REPRO_WATCHDOG", "on")
+        watched, watchdog = self._pool_sizes(spec)
+        assert watchdog.events_dispatched > 0
+        assert watched == plain
+        _timeouts, events, buckets = watched
+        assert events and buckets
 
 
 class TestProfileAttribution:

@@ -1,8 +1,11 @@
 """Unit tests for the dynamic pointer allocation directory."""
 
+import tracemalloc
+
 import pytest
 
 from repro.common.errors import ProtocolError
+from repro.harness import experiments
 from repro.protocol.directory import Directory, LinkStore
 
 MB = 1024 * 1024
@@ -146,3 +149,19 @@ class TestLinkStore:
     def test_addr_of(self):
         store = LinkStore(4, base_addr=0x1000)
         assert store.addr_of(2) == 0x1000 + 16
+
+
+def test_machine_build_footprint():
+    """Building the default mp3d FLASH machine allocates only what a run
+    touches: no eager per-line or per-link state.  The lazy link store
+    brings this to ~7 MiB; a pre-filled 64K-link pool per node alone costs
+    ~56 MiB."""
+    spec = experiments.normalize_spec("mp3d", kind="flash")
+    tracemalloc.start()
+    try:
+        built = experiments.build_machine(spec)
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built[0].nodes
+    assert traced < 16 * MB, f"build_machine traced {traced / MB:.1f} MiB"

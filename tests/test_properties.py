@@ -1,13 +1,16 @@
 """Property-based tests (hypothesis) on protocol and machine invariants."""
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.caches.setassoc import CacheState
+from repro.common.errors import ProtocolError
 from repro.common.params import MagicCacheConfig, flash_config, ideal_config
 from repro.machine import Machine
-from repro.protocol.directory import Directory
+from repro.protocol.directory import Directory, LinkStore
 
 KB = 1024
 MB = 1024 * 1024
@@ -198,3 +201,77 @@ def test_single_node_time_breakdown_consistent(ops):
     machine.run([iter(stream)])
     times = machine.nodes[0].cpu.times
     assert times.total == pytest.approx(times.finish_time, rel=0.05, abs=2)
+
+
+class _EagerLinkStore:
+    """Reference link store with the whole free list pre-filled, the way
+    dynamic pointer allocation initialises it in hardware.  The lazy
+    :class:`LinkStore` must hand out exactly the same indices."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.node = [0] * capacity
+        self.next = [None] * capacity
+        self.free_list = list(range(capacity - 1, -1, -1))
+        self.peak_used = 0
+        self.total_allocated = 0
+        self.total_freed = 0
+
+    @property
+    def used(self):
+        return self.capacity - len(self.free_list)
+
+    def allocate(self, node, next_index):
+        if not self.free_list:
+            raise ProtocolError("directory link store exhausted")
+        index = self.free_list.pop()
+        self.node[index] = node
+        self.next[index] = next_index
+        self.total_allocated += 1
+        self.peak_used = max(self.peak_used, self.used)
+        return index
+
+    def free(self, index):
+        self.free_list.append(index)
+        self.total_freed += 1
+
+
+def _outcome(store, node, next_index):
+    try:
+        return store.allocate(node, next_index)
+    except ProtocolError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("capacity", [1, 5, 64])
+@pytest.mark.parametrize("seed", range(8))
+def test_lazy_link_store_matches_eager_free_list(seed, capacity):
+    rng = random.Random(seed)
+    lazy = LinkStore(capacity, base_addr=0)
+    eager = _EagerLinkStore(capacity)
+    live = []
+    exhausted = 0
+    for _ in range(400):
+        if live and rng.random() < 0.45:
+            index = live.pop(rng.randrange(len(live)))
+            lazy.free(index)
+            eager.free(index)
+        else:
+            node = rng.randrange(16)
+            next_index = rng.choice(live) if live else None
+            got = _outcome(lazy, node, next_index)
+            assert got == _outcome(eager, node, next_index)
+            if isinstance(got, str):
+                exhausted += 1
+                assert len(live) == capacity
+            else:
+                live.append(got)
+                assert lazy.node_at(got) == node
+                assert lazy.next_of(got) == next_index
+        for attr in ("used", "peak_used", "total_allocated", "total_freed"):
+            assert getattr(lazy, attr) == getattr(eager, attr), attr
+    for index in live:
+        assert lazy.node_at(index) == eager.node[index]
+        assert lazy.next_of(index) == eager.next[index]
+    if capacity <= 5:
+        assert exhausted, "sequence never reached exhaustion"

@@ -13,7 +13,9 @@ The tracer's contract has three legs, each asserted here:
   process-global uids leak into the export).
 """
 
+import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -153,6 +155,31 @@ class TestReconciliation:
         for entry in decomp["classes"].values():
             assert sum(entry["latency_hist"].values()) == entry["count"]
             assert entry["count"] * 1 <= entry["latency_total"]
+
+
+class TestQueueWaitBookkeeping:
+    """PP queue-wait timing pairs every enqueue with its dequeue, including
+    the messages an idle PP takes before their put completes."""
+
+    #: SHA-256 of the canonical decomposition JSON of traced fast mp3d.
+    DECOMPOSITION_SHA = {
+        "flash": "1440e88d023b7a1ba8d401350800aebf"
+                 "3d9a2d489f43f9f8e8844cc279b86bbf",
+        "ideal": "d6e12e54fc87402efd792ae45b61a792"
+                 "51316023e9dbedb4c463e1ab04ea1111",
+    }
+
+    @pytest.mark.parametrize("kind", ["flash", "ideal"])
+    def test_no_enqueue_stamps_left_after_a_run(self, kind):
+        spec = exp.normalize_spec("mp3d", kind=kind, trace=True,
+                                  workload_overrides=exp.SMOKE_SIZES["mp3d"])
+        result, tracer = exp.run_traced(spec)
+        assert not tracer._pp_enqueue
+        assert not tracer._pp_taken_early
+        blob = json.dumps(result.latency_decomposition, sort_keys=True,
+                          separators=(",", ":"))
+        digest = hashlib.sha256(blob.encode()).hexdigest()
+        assert digest == self.DECOMPOSITION_SHA[kind]
 
 
 class TestDeterminism:
@@ -312,6 +339,14 @@ class TestWatchdogIntegration:
         assert oldest["tail"] == ["t=0 issue@node2"]
         json.dumps(diagnosis.to_dict())   # artifact format stays JSON-able
         assert "traced txn: node 2 read 0x1980" in diagnosis.render()
+
+    def test_tail_labels_spans_by_track(self):
+        tracer = Tracer()
+        tracer.txn_issue(1, 0x80, True, 3.0)
+        msg = SimpleNamespace(mtype="GETX", line_addr=0x80, requester=1)
+        tracer.inbox_span(0, msg, 4.0, 6.5)
+        tail = tracer.in_flight_tail()[0]["tail"]
+        assert tail == ["t=3 issue@node1", "t=6.5 inbox:GETX@node0"]
 
     def test_untraced_diagnosis_has_no_tail(self):
         diagnosis = diagnose(Environment(), "unit test")
