@@ -175,7 +175,12 @@ class Machine:
         # (processes -> generators -> frames -> events); cyclic-GC passes over
         # that churn cost ~10% of a run and free almost nothing that refcounts
         # don't already reclaim.  Pause collection for the duration; results
-        # are unaffected (no finalizer in the tree has side effects).
+        # are unaffected (no finalizer in the tree has side effects).  A
+        # finished machine is itself one big reference cycle, so collect
+        # once first: otherwise a dead predecessor (the FLASH run of a
+        # FLASH/ideal pair, with its trace buffers) stays resident until
+        # this run ends.
+        gc.collect()
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()

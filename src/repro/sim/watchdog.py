@@ -193,13 +193,11 @@ def trace_tail(env: Environment, line_addr: Optional[int] = None,
     tracer = getattr(env, "_tracer", None)
     if tracer is None:
         return []
-    tail = tracer.in_flight_tail(limit=limit)
     if line_addr is not None:
-        needle = f"{line_addr:#x}"
-        matching = [txn for txn in tail if txn.get("line") == needle]
+        matching = tracer.in_flight_tail(limit=limit, line_addr=line_addr)
         if matching:
             return matching
-    return tail
+    return tracer.in_flight_tail(limit=limit)
 
 
 def diagnose(env: Environment, reason: str, events_dispatched: int = 0,

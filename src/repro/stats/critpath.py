@@ -50,7 +50,7 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .trace import _hist_bucket
+from .trace import COMPONENTS, _hist_bucket
 
 __all__ = ["extract_critical_path", "render_critpath", "BUCKETS"]
 
@@ -122,23 +122,23 @@ class _Walk:
             if rec is None:
                 self.residual[residual] += t - t0
                 break
-            retire, start, _line, cls, _is_write, comp, handlers = rec
+            retire, start, _line, cls, _is_write, comp, handlers, cycles = rec
             lo = max(t0, start)
             explained = t - lo
             self.classes[cls] = self.classes.get(cls, 0.0) + explained
             duration = retire - start
             frac = min(1.0, explained / duration) if duration > 0.0 else 1.0
-            for key, value in comp.items():
+            for key, value in zip(COMPONENTS, comp):
                 if value:
                     self.components[key] = (
                         self.components.get(key, 0.0) + value * frac)
             if handlers:
                 first = id(rec) not in self._credited
                 self._credited.add(id(rec))
-                for handler, cycles in handlers.items():
+                for handler, spent in zip(handlers, cycles):
                     self.handler_critical[handler] = (
                         self.handler_critical.get(handler, 0.0)
-                        + cycles * frac)
+                        + spent * frac)
                     if first:
                         self.handler_txns[handler] = (
                             self.handler_txns.get(handler, 0) + 1)
@@ -277,7 +277,7 @@ def _slack_histograms(tracer, execution_time: float) -> Dict[str, Any]:
     slack: Dict[str, Any] = {}
     for node, recs in tracer.retired.items():
         ends = barrier_ends.get(node)
-        for retire, _start, _line, _cls, _is_write, _comp, handlers in recs:
+        for retire, *_fields, handlers, _cycles in recs:
             if not handlers:
                 continue
             if ends:

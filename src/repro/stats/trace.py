@@ -33,13 +33,18 @@ outstanding miss per line per node, and every protocol message carries both
 fields, so no transaction id needs threading through
 :class:`~repro.protocol.messages.Message`.  Span memory is ring-buffer
 bounded (``REPRO_TRACE=on`` or ``buf=N,nodes=...,sample=T``); aggregates are
-exact regardless of buffer size.
+exact regardless of buffer size.  The buffer is a :class:`SpanRing` of
+columns, about 64 B per kept span.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..protocol.coherence import MissClass
 
@@ -114,11 +119,82 @@ def parse_nodes(text: str) -> List[int]:
     return sorted(nodes)
 
 
-class _Txn:
-    """One in-flight miss transaction."""
+class SpanRing:
+    """The span buffer: ``(t0, dur, node, track, name, (mtype, line,
+    requester))`` tuples, oldest first, stored by column.
 
-    __slots__ = ("node", "line", "is_write", "start", "cls", "comp", "tail",
-                 "handlers")
+    ``t0``, ``dur`` and the line address sit in ``array`` columns (8 B
+    each); node, track, name, message type and requester are references to
+    objects the simulator already holds, so a buffered span costs about
+    64 B.  The columns grow on demand up to ``maxlen`` (falsy: unbounded)
+    and are never preallocated; once full, each append overwrites the
+    oldest span and counts it in ``dropped``.  Iteration rebuilds the
+    tuples, so the ring reads like a ``deque(maxlen=maxlen)`` of them
+    (timestamps come back as floats).
+    """
+
+    __slots__ = ("maxlen", "dropped", "_head", "_t0", "_dur", "_line",
+                 "_node", "_track", "_name", "_mtype", "_requester")
+
+    def __init__(self, maxlen: Optional[int] = None):
+        self.maxlen = maxlen or None
+        self.dropped = 0
+        self._head = 0          # slot of the oldest span once the ring is full
+        self._t0 = array("d")
+        self._dur = array("d")
+        self._line = array("q")
+        self._node: List[int] = []
+        self._track: List[str] = []
+        self._name: List[str] = []
+        self._mtype: List[Optional[str]] = []
+        self._requester: List[Optional[int]] = []
+
+    def __len__(self) -> int:
+        return len(self._t0)
+
+    def append(self, t0: float, dur: float, node: int, track: str, name: str,
+               mtype: Optional[str], line: int,
+               requester: Optional[int]) -> None:
+        t0s = self._t0
+        if len(t0s) != self.maxlen:
+            t0s.append(t0)
+            self._dur.append(dur)
+            self._line.append(line)
+            self._node.append(node)
+            self._track.append(track)
+            self._name.append(name)
+            self._mtype.append(mtype)
+            self._requester.append(requester)
+            return
+        i = self._head
+        t0s[i] = t0
+        self._dur[i] = dur
+        self._line[i] = line
+        self._node[i] = node
+        self._track[i] = track
+        self._name[i] = name
+        self._mtype[i] = mtype
+        self._requester[i] = requester
+        i += 1
+        self._head = 0 if i == self.maxlen else i
+        self.dropped += 1
+
+    def __iter__(self) -> Iterator[Tuple]:
+        t0s, durs, lines = self._t0, self._dur, self._line
+        nodes, tracks, names = self._node, self._track, self._name
+        mtypes, requesters = self._mtype, self._requester
+        head = self._head
+        for i in chain(range(head, len(t0s)), range(head)):
+            yield (t0s[i], durs[i], nodes[i], tracks[i], names[i],
+                   (mtypes[i], lines[i], requesters[i]))
+
+
+class _Txn:
+    """One in-flight miss transaction.  Component cycles sit in one slot
+    per :data:`COMPONENTS` entry, so the hooks charge them directly."""
+
+    __slots__ = ("node", "line", "is_write", "start", "cls", "queue", "pp",
+                 "memory", "network", "tail", "handlers")
 
     def __init__(self, node: int, line: int, is_write: bool, start: float):
         self.node = node
@@ -126,9 +202,13 @@ class _Txn:
         self.is_write = is_write
         self.start = start
         self.cls: Optional[str] = None   # read-miss class, set by the home
-        self.comp = {c: 0.0 for c in COMPONENTS}
+        self.queue = self.pp = self.memory = self.network = 0.0
         self.tail: deque = deque(maxlen=_TAIL_SPANS)
         self.handlers: Dict[str, float] = {}   # per-handler PP cycles
+
+    def comp(self) -> Tuple[float, float, float, float]:
+        """Component cycles in :data:`COMPONENTS` order."""
+        return (self.queue, self.pp, self.memory, self.network)
 
 
 class _ClassAgg:
@@ -155,6 +235,9 @@ class Tracer:
 
     All hook methods are only ever reached behind a ``tracer is not None``
     check at the call site, so a machine built without a tracer pays nothing.
+    The per-message hooks look their transaction up, charge it, extend its
+    tail and append to the span ring inline: they run once per pipeline
+    stage of every message.
     """
 
     def __init__(self, buffer_spans: int = DEFAULT_BUFFER_SPANS,
@@ -164,11 +247,11 @@ class Tracer:
         self.buffer_spans = buffer_spans
         self.node_filter = frozenset(nodes) if nodes is not None else None
         self.sample_interval = sample_interval
-        #: Ring buffer of (t0, dur, node, track, name, args) span tuples.
-        self.spans: deque = deque(maxlen=buffer_spans or None)
-        self.spans_dropped = 0
+        #: Ring buffer of (t0, dur, node, track, name, args) spans.
+        self.spans = SpanRing(buffer_spans)
         self._active: Dict[Tuple[int, int], _Txn] = {}
         self._classes: Dict[str, _ClassAgg] = {}
+        self._miss_names: Dict[str, str] = {}   # class -> "miss:<class>"
         #: Component cycles charged to transactions no longer (or never)
         #: tracked: transfer handlers, writebacks, evictions, MDC traffic.
         self.untracked = {c: 0.0 for c in COMPONENTS}
@@ -192,9 +275,14 @@ class Tracer:
         #: order.  Kinds: "r" read stall, "w" write stall / fence, ("b",)
         #: barrier, ("l",)/("u",) lock/unlock, ("v",) recv, "i" pacing idle.
         self.cpu_segments: Dict[int, List[Tuple]] = {}
-        #: node -> [(retire, start, line, cls, is_write, comp, handlers)]
-        #: retired-transaction records, in retire-time order.
+        #: node -> [(retire, start, line, cls, is_write, comp, handlers,
+        #: handler_cycles)] retired-transaction records, in retire-time
+        #: order.  ``comp`` is the component cycles in COMPONENTS order;
+        #: ``handlers`` the handlers that charged PP cycles, in first-charge
+        #: order, and ``handler_cycles`` their cycles.
         self.retired: Dict[int, List[Tuple]] = {}
+        #: One shared ``handlers`` tuple per distinct handler sequence.
+        self._handler_seqs: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self._barrier_arrivals: Dict[Any, List[Tuple[float, int]]] = {}
         #: [(release_t, last_arriving_node, barrier_id)] per completed episode.
         self.barrier_episodes: List[Tuple[float, int, Any]] = []
@@ -212,34 +300,10 @@ class Tracer:
                    nodes=spec.get("nodes"),
                    sample_interval=spec.get("sample"))
 
-    # -- span recording ----------------------------------------------------------
-
-    def _span(self, node: int, track: str, name: str, t0: float, t1: float,
-              msg, txn: Optional[_Txn]) -> None:
-        """Record one span of ``msg``; ``txn`` is its in-flight transaction
-        (looked up once by the caller), whose tail also gets the span."""
-        if txn is not None:
-            txn.tail.append((t1, track, name, node))
-        if self.node_filter is not None and node not in self.node_filter:
-            return
-        spans = self.spans
-        if spans.maxlen is not None and len(spans) == spans.maxlen:
-            self.spans_dropped += 1
-        spans.append((t0, t1 - t0, node, track, name,
-                      (msg.mtype, msg.line_addr, msg.requester)))
-
-    def _txn_of(self, msg) -> Optional[_Txn]:
-        return self._active.get((msg.requester, msg.line_addr))
-
-    def _charge(self, component: str, txn: Optional[_Txn],
-                cycles: float) -> None:
-        if cycles <= 0.0:
-            return
-        self.totals[component] += cycles
-        if txn is not None:
-            txn.comp[component] += cycles
-        else:
-            self.untracked[component] += cycles
+    @property
+    def spans_dropped(self) -> int:
+        """Spans the ring overwrote (aggregates still count them)."""
+        return self.spans.dropped
 
     # -- transaction lifecycle (CPU side) ---------------------------------------
 
@@ -249,11 +313,9 @@ class Tracer:
         txn.tail.append((ts, None, "issue", node))
         self._active[(node, line)] = txn
         if self.node_filter is None or node in self.node_filter:
-            name = "issue:GETX" if is_write else "issue:GET"
-            spans = self.spans
-            if spans.maxlen is not None and len(spans) == spans.maxlen:
-                self.spans_dropped += 1
-            spans.append((ts, 0.0, node, "cpu", name, (None, line, node)))
+            self.spans.append(ts, 0.0, node, "cpu",
+                              "issue:GETX" if is_write else "issue:GET",
+                              None, line, node)
 
     def txn_retire(self, node: int, line: int, ts: float) -> None:
         txn = self._active.pop((node, line), None)
@@ -262,27 +324,29 @@ class Tracer:
         self.txns_retired += 1
         cls = txn.cls if txn.cls is not None else (
             WRITE_CLASS if txn.is_write else "read_unclassified")
+        comp = txn.comp()
+        handlers = tuple(txn.handlers)
+        handlers = self._handler_seqs.setdefault(handlers, handlers)
         self.retired.setdefault(node, []).append(
-            (ts, txn.start, line, cls, txn.is_write, txn.comp, txn.handlers))
+            (ts, txn.start, line, cls, txn.is_write, comp, handlers,
+             tuple(txn.handlers.values())))
         agg = self._classes.get(cls)
         if agg is None:
             agg = self._classes[cls] = _ClassAgg()
+            self._miss_names[cls] = f"miss:{cls}"
         latency = ts - txn.start
         agg.count += 1
         agg.latency += latency
         bucket = _hist_bucket(latency)
         agg.hist[bucket] = agg.hist.get(bucket, 0) + 1
-        comp = agg.comp
-        for key, value in txn.comp.items():
-            comp[key] += value
+        totals = agg.comp
+        for key, value in zip(COMPONENTS, comp):
+            totals[key] += value
         if self.loadlat is not None:
-            self.loadlat.txn_components(node, txn.comp)
+            self.loadlat.txn_components(node, dict(zip(COMPONENTS, comp)))
         if self.node_filter is None or node in self.node_filter:
-            spans = self.spans
-            if spans.maxlen is not None and len(spans) == spans.maxlen:
-                self.spans_dropped += 1
-            spans.append((txn.start, latency, node, "cpu",
-                          f"miss:{cls}", (None, line, node)))
+            self.spans.append(txn.start, latency, node, "cpu",
+                              self._miss_names[cls], None, line, node)
 
     def classify(self, requester: int, line: int, cls: str) -> None:
         """The home classified a read miss (Table 4.1 classes); writes keep
@@ -319,7 +383,15 @@ class Tracer:
     # -- MAGIC / ideal controller -------------------------------------------------
 
     def inbox_span(self, node: int, msg, t0: float, t1: float) -> None:
-        self._span(node, "inbox", msg.mtype, t0, t1, msg, self._txn_of(msg))
+        requester = msg.requester
+        line = msg.line_addr
+        mtype = msg.mtype
+        txn = self._active.get((requester, line))
+        if txn is not None:
+            txn.tail.append((t1, "inbox", mtype, node))
+        if self.node_filter is None or node in self.node_filter:
+            self.spans.append(t0, t1 - t0, node, "inbox", mtype, mtype, line,
+                              requester)
 
     def pp_enqueue(self, uid: int, ts: float) -> None:
         # A put to an idle PP hands the message straight to its waiting
@@ -334,29 +406,64 @@ class Tracer:
         t0 = self._pp_enqueue.pop(msg.uid, None)
         if t0 is None:
             self._pp_taken_early.add(msg.uid)
-        elif ts > t0:
-            txn = self._txn_of(msg)
-            self._charge("queue", txn, ts - t0)
-            self._span(node, "pp", "queue_wait", t0, ts, msg, txn)
+            return
+        if ts <= t0:
+            return
+        requester = msg.requester
+        line = msg.line_addr
+        wait = ts - t0
+        self.totals["queue"] += wait
+        txn = self._active.get((requester, line))
+        if txn is not None:
+            txn.queue += wait
+            txn.tail.append((ts, "pp", "queue_wait", node))
+        else:
+            self.untracked["queue"] += wait
+        if self.node_filter is None or node in self.node_filter:
+            self.spans.append(t0, wait, node, "pp", "queue_wait", msg.mtype,
+                              line, requester)
 
     def pp_span(self, node: int, handler: str, msg, t0: float, t1: float) -> None:
         """Mirrors one ``stats.pp_busy +=`` site exactly."""
+        requester = msg.requester
+        line = msg.line_addr
         cycles = t1 - t0
-        txn = self._txn_of(msg)
-        self._charge("pp", txn, cycles)
+        txn = self._active.get((requester, line))
         if cycles > 0.0:
-            self.pp_handler_totals[handler] = (
-                self.pp_handler_totals.get(handler, 0.0) + cycles)
+            self.totals["pp"] += cycles
+            handler_totals = self.pp_handler_totals
+            handler_totals[handler] = handler_totals.get(handler, 0.0) + cycles
             if txn is not None:
-                txn.handlers[handler] = txn.handlers.get(handler, 0.0) + cycles
-        self._span(node, "pp", handler, t0, t1, msg, txn)
+                txn.pp += cycles
+                handlers = txn.handlers
+                handlers[handler] = handlers.get(handler, 0.0) + cycles
+            else:
+                self.untracked["pp"] += cycles
+        if txn is not None:
+            txn.tail.append((t1, "pp", handler, node))
+        if self.node_filter is None or node in self.node_filter:
+            self.spans.append(t0, cycles, node, "pp", handler, msg.mtype,
+                              line, requester)
 
     def pi_out_span(self, node: int, msg, t0: float, t1: float) -> None:
-        self._span(node, "pi", msg.mtype, t0, t1, msg, self._txn_of(msg))
+        requester = msg.requester
+        line = msg.line_addr
+        mtype = msg.mtype
+        txn = self._active.get((requester, line))
+        if txn is not None:
+            txn.tail.append((t1, "pi", mtype, node))
+        if self.node_filter is None or node in self.node_filter:
+            self.spans.append(t0, t1 - t0, node, "pi", mtype, mtype, line,
+                              requester)
 
     def deferred(self, node: int, msg) -> None:
         ts = self.env._now if self.env is not None else 0.0
-        self._span(node, "pp", "deferred", ts, ts, msg, self._txn_of(msg))
+        txn = self._active.get((msg.requester, msg.line_addr))
+        if txn is not None:
+            txn.tail.append((ts, "pp", "deferred", node))
+        if self.node_filter is None or node in self.node_filter:
+            self.spans.append(ts, 0.0, node, "pp", "deferred", msg.mtype,
+                              msg.line_addr, msg.requester)
 
     # -- memory ------------------------------------------------------------------
 
@@ -366,28 +473,45 @@ class Tracer:
         ``busy_cycles += busy_cycles_per_access``; time between submit and
         service start is queue wait."""
         ctx = request.trace_ctx
-        requester, line = ctx if ctx is not None else (None, None)
-        txn = self._active.get((requester, line))
-        self._charge("memory", txn, busy)
+        txn = self._active.get(ctx)
+        if busy > 0.0:
+            self.totals["memory"] += busy
+            if txn is not None:
+                txn.memory += busy
+            else:
+                self.untracked["memory"] += busy
         wait = t0 - request.trace_submit
         if wait > 0.0:
-            self._charge("queue", txn, wait)
+            self.totals["queue"] += wait
+            if txn is not None:
+                txn.queue += wait
+            else:
+                self.untracked["queue"] += wait
         if self.node_filter is None or node in self.node_filter:
-            name = "read" if request.is_read else "write"
-            spans = self.spans
-            if spans.maxlen is not None and len(spans) == spans.maxlen:
-                self.spans_dropped += 1
-            spans.append((t0, t1 - t0, node, "memory", name,
-                          (None, request.line_addr, requester)))
+            self.spans.append(t0, t1 - t0, node, "memory",
+                              "read" if request.is_read else "write", None,
+                              request.line_addr,
+                              ctx[0] if ctx is not None else None)
 
     # -- network -----------------------------------------------------------------
 
     def net_span(self, node: int, name: str, msg, t0: float, t1: float,
                  charge: bool = True) -> None:
-        txn = self._txn_of(msg)
-        if charge:
-            self._charge("network", txn, t1 - t0)
-        self._span(node, "net", name, t0, t1, msg, txn)
+        requester = msg.requester
+        line = msg.line_addr
+        cycles = t1 - t0
+        txn = self._active.get((requester, line))
+        if charge and cycles > 0.0:
+            self.totals["network"] += cycles
+            if txn is not None:
+                txn.network += cycles
+            else:
+                self.untracked["network"] += cycles
+        if txn is not None:
+            txn.tail.append((t1, "net", name, node))
+        if self.node_filter is None or node in self.node_filter:
+            self.spans.append(t0, cycles, node, "net", name, msg.mtype, line,
+                              requester)
 
     # -- time series ---------------------------------------------------------------
 
@@ -414,7 +538,7 @@ class Tracer:
             }
         in_flight = {c: 0.0 for c in COMPONENTS}
         for txn in self._active.values():
-            for key, value in txn.comp.items():
+            for key, value in zip(COMPONENTS, txn.comp()):
                 in_flight[key] += value
         return {
             "classes": classes,
@@ -428,12 +552,18 @@ class Tracer:
                       "dropped": self.spans_dropped},
         }
 
-    def in_flight_tail(self, limit: int = 4) -> List[Dict[str, Any]]:
+    def in_flight_tail(self, limit: int = 4,
+                       line_addr: Optional[int] = None
+                       ) -> List[Dict[str, Any]]:
         """The oldest in-flight transactions with their recent span tails —
         attached to :class:`~repro.sim.watchdog.StallDiagnosis` when a traced
-        run stalls."""
+        run stalls.  ``line_addr`` keeps only that line's transactions; the
+        filter applies before the ``limit`` oldest are taken."""
         now = self.env._now if self.env is not None else 0.0
-        oldest = sorted(self._active.values(), key=lambda t: (t.start, t.node))
+        txns = self._active.values()
+        if line_addr is not None:
+            txns = [txn for txn in txns if txn.line == line_addr]
+        oldest = sorted(txns, key=lambda t: (t.start, t.node))
         return [
             {
                 "node": txn.node,

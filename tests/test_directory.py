@@ -1,12 +1,16 @@
-"""Unit tests for the dynamic pointer allocation directory."""
+"""Unit tests for the dynamic pointer allocation directory, and the
+memory-footprint gates of building, tracing and running a machine."""
 
+import gc
 import tracemalloc
+import weakref
 
 import pytest
 
 from repro.common.errors import ProtocolError
 from repro.harness import experiments
 from repro.protocol.directory import Directory, LinkStore
+from repro.stats.trace import parse_trace_spec
 
 MB = 1024 * 1024
 LINE = 128
@@ -165,3 +169,61 @@ def test_machine_build_footprint():
         tracemalloc.stop()
     assert built[0].nodes
     assert traced < 16 * MB, f"build_machine traced {traced / MB:.1f} MiB"
+
+
+def test_traced_run_bytes_per_buffered_span():
+    """The span ring keeps a span in ~64 B of columns.  Two traced runs of
+    the same smoke spec differ only in ring capacity, so their difference
+    in live allocation after the run is the ring's cost of the extra
+    spans."""
+    def held_after_run(buf):
+        spec = experiments.normalize_spec(
+            "fft", kind="flash", workload_overrides={"points": 1024},
+            trace=parse_trace_spec(f"buf={buf}"))
+        machine, ops, _ = experiments.build_machine(spec)
+        tracemalloc.start()
+        try:
+            machine.run(ops)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return held, len(machine.tracer.spans)
+
+    held_all, spans = held_after_run(0)     # unbounded: every span kept
+    held_one, one = held_after_run(1)
+    assert spans > 10_000 and one == 1
+    per_span = (held_all - held_one) / (spans - one)
+    assert per_span <= 80, f"{per_span:.1f} B per buffered span"
+
+
+def test_finished_machine_is_freed_when_the_next_run_starts(monkeypatch):
+    """A finished machine is one reference cycle (environment <-> queues
+    and tracer; with a watchdog, the ``Machine`` itself), and
+    ``Machine.run`` pauses cyclic GC.  Its pre-run collection must free
+    the previous machine and its trace buffers before the next run's first
+    op, not after the run."""
+    monkeypatch.setenv("REPRO_WATCHDOG", "on")   # as observed runs attach it
+    spec = experiments.normalize_spec(
+        "fft", kind="flash", n_procs=4, workload_overrides={"points": 256},
+        trace=True)
+    seen = []
+
+    def probe(stream):
+        seen.append([ref() for ref in finished])
+        yield from stream
+
+    was_enabled = gc.isenabled()
+    gc.disable()   # no automatic collection may free it first
+    try:
+        machine, ops, _ = experiments.build_machine(spec)
+        machine.run(ops)
+        finished = [weakref.ref(machine), weakref.ref(machine.tracer)]
+        del machine, ops
+        assert all(ref() is not None for ref in finished), \
+            "a finished machine is cyclic garbage"
+        machine, ops, _ = experiments.build_machine(spec)
+        machine.run([probe(ops[0])] + list(ops[1:]))
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert seen == [[None, None]]

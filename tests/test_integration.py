@@ -221,3 +221,39 @@ class TestGoldenHashes:
         assert digest == self.GOLDEN[combo], (
             f"{combo}: simulation output drifted from the golden hash -- "
             "an optimization changed observable behavior")
+
+    #: The observed path: mp3d with tracer and metrics registry attached.
+    #: ``result`` hashes the full ``RunResult`` JSON (latency decomposition,
+    #: critical path and metrics included); ``events`` hashes the Chrome
+    #: ``trace_event`` export of the span ring.
+    OBSERVED_GOLDEN = {
+        "mp3d/flash": {
+            "result": "d591df6eaf2cfb0db1e7733ec2e66b892518f04d5b87ca8b1f7ef451ed582302",
+            "events": "343f792331eb2d9da42ba74a8bd0faf2af7659c3a156ba8b6cd8c7ed4a6e3641",
+        },
+        "mp3d/ideal": {
+            "result": "698bf19bbf47b280a2a1c2ed3e38d567535a3c3caa086c3b44b0d3ece270d29c",
+            "events": "4d68831c845ea3c4620319ccc3ee3760b589c76546d194728a0e53c0ef74a781",
+        },
+    }
+
+    @pytest.mark.parametrize("combo", sorted(OBSERVED_GOLDEN))
+    def test_observed_run_matches_golden(self, combo):
+        import hashlib
+        import json
+
+        from repro.harness import experiments
+
+        app, kind = combo.split("/")
+        spec = experiments.normalize_spec(
+            app, kind=kind, regime="large",
+            workload_overrides=self.FAST_SIZES[app], trace=True, metrics=True)
+        result, tracer = experiments.run_traced(spec)
+        events = json.dumps(tracer.to_trace_events(), sort_keys=True,
+                            separators=(",", ":"))
+        digests = {
+            "result": hashlib.sha256(result.to_json().encode()).hexdigest(),
+            "events": hashlib.sha256(events.encode()).hexdigest(),
+        }
+        assert digests == self.OBSERVED_GOLDEN[combo], (
+            f"{combo}: observed-run output drifted from the golden hashes")

@@ -1,6 +1,8 @@
 """Property-based tests (hypothesis) on protocol and machine invariants."""
 
 import random
+from collections import deque
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +13,7 @@ from repro.common.errors import ProtocolError
 from repro.common.params import MagicCacheConfig, flash_config, ideal_config
 from repro.machine import Machine
 from repro.protocol.directory import Directory, LinkStore
+from repro.stats.trace import SpanRing, Tracer
 
 KB = 1024
 MB = 1024 * 1024
@@ -275,3 +278,83 @@ def test_lazy_link_store_matches_eager_free_list(seed, capacity):
         assert lazy.next_of(index) == eager.next[index]
     if capacity <= 5:
         assert exhausted, "sequence never reached exhaustion"
+
+
+class _DequeSpans:
+    """Reference span buffer: a ``deque(maxlen=N)`` of span tuples, the
+    form the columnar :class:`SpanRing` replaced (``maxlen`` 0: unbounded)."""
+
+    def __init__(self, maxlen):
+        self.spans = deque(maxlen=maxlen or None)
+        self.dropped = 0
+
+    def append(self, t0, dur, node, track, name, mtype, line, requester):
+        if len(self.spans) == self.spans.maxlen:
+            self.dropped += 1
+        self.spans.append((t0, dur, node, track, name,
+                           (mtype, line, requester)))
+
+
+def _random_span(rng):
+    t0 = rng.uniform(0.0, 1e6)
+    return (t0, rng.choice([0.0, rng.uniform(0.0, 900.0)]), rng.randrange(16),
+            rng.choice(["cpu", "inbox", "pp", "memory", "net", "pi"]),
+            rng.choice(["GET", "PILocalGet", "queue_wait", "transit", "read"]),
+            rng.choice([None, "GET", "GETX", "PUT"]),
+            rng.randrange(1 << 24) * LINE,
+            rng.choice([None] + list(range(16))))
+
+
+@pytest.mark.parametrize("maxlen, appends", [
+    (64, 10),      # fewer than N
+    (64, 64),      # exactly N
+    (64, 1000),    # wraps around many times
+    (1, 5),
+    (0, 300),      # buf=0: unbounded
+])
+@pytest.mark.parametrize("seed", range(4))
+def test_span_ring_matches_deque(seed, maxlen, appends):
+    rng = random.Random(seed)
+    ring = SpanRing(maxlen)
+    reference = _DequeSpans(maxlen)
+    assert ring.maxlen == reference.spans.maxlen
+    for _ in range(appends):
+        span = _random_span(rng)
+        ring.append(*span)
+        reference.append(*span)
+        assert len(ring) == len(reference.spans)
+        if rng.random() < 0.1:
+            assert list(ring) == list(reference.spans)
+    assert list(ring) == list(reference.spans)
+    assert ring.dropped == reference.dropped
+
+
+@pytest.mark.parametrize("maxlen", [0, 16])
+@pytest.mark.parametrize("seed", range(4))
+def test_tracer_node_filter_matches_deque(seed, maxlen):
+    """The tracer's message hooks record exactly the spans of the filtered
+    nodes, in order, with the old buffer's drop count."""
+    rng = random.Random(seed)
+    kept = {0, 3}
+    tracer = Tracer(buffer_spans=maxlen, nodes=kept)
+    reference = _DequeSpans(maxlen)
+    for _ in range(200):
+        node = rng.randrange(6)
+        msg = SimpleNamespace(mtype=rng.choice(["GET", "PUT", "INVAL"]),
+                              line_addr=rng.randrange(32) * LINE,
+                              requester=rng.randrange(6))
+        t0 = rng.uniform(0.0, 1e4)
+        t1 = t0 + rng.uniform(0.0, 100.0)
+        hook, track, name = rng.choice([
+            (tracer.inbox_span, "inbox", msg.mtype),
+            (tracer.pi_out_span, "pi", msg.mtype),
+            (lambda n, m, a, b: tracer.net_span(n, "transit", m, a, b),
+             "net", "transit"),
+        ])
+        hook(node, msg, t0, t1)
+        if node in kept:
+            reference.append(t0, t1 - t0, node, track, name, msg.mtype,
+                             msg.line_addr, msg.requester)
+    assert len(tracer.spans) == len(reference.spans)
+    assert list(tracer.spans) == list(reference.spans)
+    assert tracer.spans_dropped == reference.dropped

@@ -22,7 +22,7 @@ import pytest
 from repro.harness import experiments as exp
 from repro.harness.__main__ import main as harness_main
 from repro.sim.engine import Environment
-from repro.sim.watchdog import diagnose
+from repro.sim.watchdog import diagnose, trace_tail
 from repro.stats import timeseries
 from repro.stats.report import RunResult
 from repro.stats.trace import (
@@ -351,6 +351,22 @@ class TestWatchdogIntegration:
     def test_untraced_diagnosis_has_no_tail(self):
         diagnosis = diagnose(Environment(), "unit test")
         assert diagnosis.trace_tail == []
+
+    def test_line_filter_applies_before_the_limit(self):
+        env = Environment()
+        tracer = Tracer()
+        tracer.env = env
+        env._tracer = tracer
+        for i in range(6):    # six in flight, oldest first
+            tracer.txn_issue(i % 3, 0x1000 + i * 0x80, False, float(i))
+        youngest = 0x1000 + 5 * 0x80
+        tail = trace_tail(env, line_addr=youngest)
+        assert [(t["node"], t["line"]) for t in tail] == [(2, "0x1280")]
+        assert tracer.in_flight_tail(limit=4, line_addr=youngest) == tail
+        # No transaction on the line: fall back to the oldest four.
+        fallback = trace_tail(env, line_addr=0x9000)
+        assert [t["line"] for t in fallback] == [
+            "0x1000", "0x1080", "0x1100", "0x1180"]
 
 
 class TestRenderDecomposition:
