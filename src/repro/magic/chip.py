@@ -47,22 +47,23 @@ __all__ = ["MagicChip", "SPECULATIVE_TYPES"]
 SPECULATIVE_TYPES = frozenset({MT.GET, MT.GETX, MT.REMOTE_GET, MT.REMOTE_GETX})
 
 
-class _ArbOnce:
-    """One-shot inbox arbitration guard: when the first of the two
-    outstanding gets fires, schedules the inbox's re-arbitration at exactly
-    the ready position the old ``_EitherReady`` composite's trigger
-    occupied.  The second child's dispatch finds the guard spent."""
+class _InboxWaiter:
+    """The inbox's one arbitration waiter, hooked onto each pending get at
+    most once.  Armed while the inbox waits on both gets: the first get to
+    fire disarms it and schedules re-arbitration at exactly the ready
+    position the old ``_EitherReady`` composite's trigger occupied.  A get
+    that fires while it is disarmed finds nothing to do."""
 
-    __slots__ = ("env", "callback", "fired")
+    __slots__ = ("env", "callback", "armed")
 
     def __init__(self, env: Environment, callback: Callable[[], None]):
         self.env = env
         self.callback = callback
-        self.fired = False
+        self.armed = False
 
     def __call__(self, _event) -> None:
-        if not self.fired:
-            self.fired = True
+        if self.armed:
+            self.armed = False
             self.env._ready.append((self.callback, NO_ARG))
 
 
@@ -426,6 +427,7 @@ class MagicChip:
         self._ib_spec_submitted_cb = self._ib_spec_submitted
         self._ib_enqueue_cb = self._ib_enqueue
         self._ib_done_cb = self._ib_done
+        self._ib_waiter = _InboxWaiter(env, self._ib_next_cb)
         self._pp_next_cb = self._pp_next
         self._pp_on_msg_cb = self._pp_on_msg
         self._po_on_bundle_cb = self._po_on_bundle
@@ -483,9 +485,13 @@ class MagicChip:
             message, from_pi = get_ni._value, False
             self._get_ni = self.net_port.in_queue.get()
         else:
-            arb = _ArbOnce(self.env, self._ib_next_cb)
-            get_pi.callbacks.append(arb)
-            get_ni.callbacks.append(arb)
+            # A get that outlived the last wait still holds the waiter.
+            waiter = self._ib_waiter
+            waiter.armed = True
+            if waiter not in get_pi.callbacks:
+                get_pi.callbacks.append(waiter)
+            if waiter not in get_ni.callbacks:
+                get_ni.callbacks.append(waiter)
             return
         self.stats.messages_in += 1
         if self.tracer is not None:

@@ -494,11 +494,11 @@ class Environment:
         instant would have fired (ready deque for ``delay <= 0``, calendar
         bucket otherwise), so dispatch order is identical to the event form.
         """
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
         entry = (callback, arg)
         when = self._now + delay
         if when <= self._now:
+            if delay < 0:
+                raise SimulationError(f"negative timeout delay: {delay}")
             self._ready.append(entry)
         else:
             buckets = self._buckets
@@ -617,8 +617,9 @@ class Environment:
         # clock stands still no calendar bucket can become due; and the clock
         # only advances once ``ready`` is empty, so everything in the due
         # bucket was scheduled before anything the bucket's own dispatches
-        # push onto ``ready``.  Draining the bucket FIFO and then the deque
-        # FIFO therefore reproduces global scheduling order exactly.
+        # push onto ``ready``.  Moving the bucket onto the empty deque and
+        # draining it FIFO therefore reproduces global scheduling order
+        # exactly, with one dispatch loop for both.
         while True:
             # Fast drain: fire current-time work back to back.  Dispatch is
             # inlined per concrete class (exact-type checks, so subclasses
@@ -692,9 +693,10 @@ class Environment:
             if not whens:
                 break
             # Ready empty: advance the clock to the earliest future bucket
-            # and fire its entries in scheduling order.  Entries are popped
-            # off the (reversed) list so the run-loop local holds the only
-            # reference left when a dead timeout reaches the recycle check.
+            # and move its entries, in scheduling order, onto ``ready``; the
+            # drain above fires them.  Clearing the bucket leaves ``ready``
+            # the only holder of each entry, so the recycle checks still see
+            # a dead timeout's refcount drop to the run-loop local.
             when = whens[0]
             if until is not None and when > until:
                 self._now = until
@@ -702,41 +704,8 @@ class Environment:
             heappop(whens)
             self._now = when
             bucket = buckets.pop(when)
-            bucket.reverse()
-            while bucket:
-                countdown -= 1
-                if not countdown:
-                    countdown = interval
-                    watchdog.events_dispatched += interval
-                    watchdog.check()
-                event = bucket.pop()
-                cls = event.__class__
-                if cls is cls_tuple:
-                    # A call_later continuation: bare (callback, arg).
-                    callback, arg = event
-                    if arg is no_arg:
-                        callback()
-                    else:
-                        callback(arg)
-                elif cls is cls_timeout:
-                    # Timeout._dispatch, inlined.
-                    if event._value is pending:
-                        event._value = event._pending_value
-                        event._ok = True
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    if (
-                        refcount is not None
-                        and refcount(event) == free_refcount
-                    ):
-                        if callbacks:
-                            callbacks.clear()
-                        event.callbacks = callbacks
-                        pool.append(event)
-                else:
-                    event._dispatch()
+            ready.extend(bucket)
+            bucket.clear()
             # The drained list is empty: recycle it for the next distinct
             # timestamp.
             bucket_pool.append(bucket)

@@ -50,7 +50,7 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .trace import COMPONENTS, _hist_bucket
+from .trace import COMPONENTS, WAIT_KINDS, _hist_bucket
 
 __all__ = ["extract_critical_path", "render_critpath", "BUCKETS"]
 
@@ -79,12 +79,11 @@ class _Walk:
         self.handler_critical: Dict[str, float] = {}
         self.handler_txns: Dict[str, int] = {}
         self.jumps = {"barrier": 0, "lock": 0, "fallback": 0}
-        self._credited: set = set()
-        # Per-node sorted views of the tracer's raw data.
-        self.segs = {n: list(v) for n, v in tracer.cpu_segments.items()}
-        self.seg_ends = {n: [s[1] for s in v] for n, v in self.segs.items()}
-        self.recs = {n: list(v) for n, v in tracer.retired.items()}
-        self.rec_retires = {n: [r[0] for r in v] for n, v in self.recs.items()}
+        self._credited: set = set()   # (node, index) of credited records
+        # Per-node column stores, read in place: the walk bisects on their
+        # retire-time and segment-end columns.
+        self.segs = tracer.cpu_segments
+        self.recs = tracer.retired
         self.episodes = {(bid, rel): last
                          for rel, last, bid in tracer.barrier_episodes}
         self.releases = {lock: ([t for t, _ in evs], [n for _, n in evs])
@@ -108,34 +107,35 @@ class _Walk:
         span.  Unexplained remainder lands in ``residual[residual]``."""
         self._consume(_KIND_BUCKET_RESIDUAL[residual], t1 - t0)
         recs = self.recs.get(node)
-        retires = self.rec_retires.get(node)
         t = t1
         while t > t0:
-            rec = None
+            i = -1
             if recs:
-                i = bisect_right(retires, t) - 1
-                while i >= 0:
-                    if recs[i][1] < t:       # start < t: overlaps (.., t]
-                        rec = recs[i]
-                        break
+                starts = recs.start
+                i = bisect_right(recs.retire, t) - 1
+                # The latest retire at or before t whose start < t
+                # overlaps (.., t].
+                while i >= 0 and not starts[i] < t:
                     i -= 1
-            if rec is None:
+            if i < 0:
                 self.residual[residual] += t - t0
                 break
-            retire, start, _line, cls, _is_write, comp, handlers, cycles = rec
+            start = starts[i]
             lo = max(t0, start)
             explained = t - lo
+            cls = recs.class_of(i)
             self.classes[cls] = self.classes.get(cls, 0.0) + explained
-            duration = retire - start
+            duration = recs.retire[i] - start
             frac = min(1.0, explained / duration) if duration > 0.0 else 1.0
-            for key, value in zip(COMPONENTS, comp):
+            for key, value in zip(COMPONENTS, recs.comp_of(i)):
                 if value:
                     self.components[key] = (
                         self.components.get(key, 0.0) + value * frac)
+            handlers = recs.handlers_of(i)
             if handlers:
-                first = id(rec) not in self._credited
-                self._credited.add(id(rec))
-                for handler, spent in zip(handlers, cycles):
+                first = (node, i) not in self._credited
+                self._credited.add((node, i))
+                for handler, spent in zip(handlers, recs.cycles_of(i)):
                     self.handler_critical[handler] = (
                         self.handler_critical.get(handler, 0.0)
                         + spent * frac)
@@ -153,15 +153,15 @@ class _Walk:
         t = self.T
         visited: set = set()
         while t > 0.0:
-            ends = self.seg_ends.get(node)
-            if not ends:
+            segs = self.segs.get(node)
+            if not segs:
                 self._consume("cpu", t)
                 return 0.0
-            i = bisect_right(ends, t) - 1
+            i = bisect_right(segs.t1, t) - 1
             if i < 0:
                 self._consume("cpu", t)
                 return 0.0
-            s0, s1, kind, arg = self.segs[node][i]
+            s0, s1, kind, arg = segs[i]
             if s1 < t:
                 self._consume("cpu", t - s1)
                 t = s1
@@ -269,15 +269,18 @@ def _slack_histograms(tracer, execution_time: float) -> Dict[str, Any]:
     the miss could have retired without moving that synchronization point;
     small slack marks the requests the criticality literature would
     prioritize.  Log2 buckets match the tracer's latency histograms."""
+    barrier = WAIT_KINDS.index("b")
     barrier_ends: Dict[int, List[float]] = {}
     for node, segs in tracer.cpu_segments.items():
-        ends = [s1 for _s0, s1, kind, _arg in segs if kind == "b"]
+        ends = [t1 for t1, kind in zip(segs.t1, segs.kind) if kind == barrier]
         if ends:
             barrier_ends[node] = ends
     slack: Dict[str, Any] = {}
     for node, recs in tracer.retired.items():
         ends = barrier_ends.get(node)
-        for retire, *_fields, handlers, _cycles in recs:
+        seqs = recs.seqs.by_code
+        for retire, seq in zip(recs.retire, recs.seq):
+            handlers = seqs[seq]
             if not handlers:
                 continue
             if ends:

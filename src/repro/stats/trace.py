@@ -34,7 +34,10 @@ fields, so no transaction id needs threading through
 :class:`~repro.protocol.messages.Message`.  Span memory is ring-buffer
 bounded (``REPRO_TRACE=on`` or ``buf=N,nodes=...,sample=T``); aggregates are
 exact regardless of buffer size.  The buffer is a :class:`SpanRing` of
-columns, about 64 B per kept span.
+columns, about 34 B per kept span.  The critical-path raw data is stored by
+column too and is kept for every miss: a :class:`RetiredMisses` record costs
+about 80 B plus 8 B per PP handler, a :class:`WaitSegments` entry about
+26 B.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from ..protocol.coherence import MissClass
 __all__ = [
     "Tracer", "parse_trace_spec", "validate_trace_events",
     "render_decomposition", "COMPONENTS", "DEFAULT_BUFFER_SPANS",
+    "WAIT_KINDS", "WaitSegments", "RetiredMisses", "Interner", "SpanRing",
 ]
 
 #: Latency components, in presentation order.
@@ -119,22 +123,42 @@ def parse_nodes(text: str) -> List[int]:
     return sorted(nodes)
 
 
+class Interner(dict):
+    """Small-int codes for the values a run repeats (span labels, miss
+    classes, handler sequences): ``interner[value]`` numbers each distinct
+    value on first sight, ``interner.by_code[code]`` reads it back.  The
+    lookup is a plain dict subscript; only a new value reaches Python."""
+
+    __slots__ = ("by_code",)
+
+    def __init__(self):
+        super().__init__()
+        self.by_code: List[Any] = []
+
+    def __missing__(self, value) -> int:
+        code = self[value] = len(self.by_code)
+        self.by_code.append(value)
+        return code
+
+
 class SpanRing:
     """The span buffer: ``(t0, dur, node, track, name, (mtype, line,
     requester))`` tuples, oldest first, stored by column.
 
-    ``t0``, ``dur`` and the line address sit in ``array`` columns (8 B
-    each); node, track, name, message type and requester are references to
-    objects the simulator already holds, so a buffered span costs about
-    64 B.  The columns grow on demand up to ``maxlen`` (falsy: unbounded)
-    and are never preallocated; once full, each append overwrites the
-    oldest span and counts it in ``dropped``.  Iteration rebuilds the
-    tuples, so the ring reads like a ``deque(maxlen=maxlen)`` of them
-    (timestamps come back as floats).
+    ``t0``, ``dur`` and the line address sit in 8-byte ``array`` columns,
+    node and requester in ``array('h')`` columns (-1 for a None
+    requester).  A run draws ``(track, name, mtype)`` from a few hundred
+    combinations, so each span keeps one ``array('I')`` code into an
+    :class:`Interner` of them.  A buffered span costs about 34 B.  The
+    columns grow on demand up to ``maxlen`` (falsy: unbounded) and are
+    never preallocated; once full, each append overwrites the oldest span
+    and counts it in ``dropped``.  Iteration rebuilds the tuples, so the
+    ring reads like a ``deque(maxlen=maxlen)`` of them (timestamps come
+    back as floats).
     """
 
     __slots__ = ("maxlen", "dropped", "_head", "_t0", "_dur", "_line",
-                 "_node", "_track", "_name", "_mtype", "_requester")
+                 "_node", "_requester", "_label", "_labels")
 
     def __init__(self, maxlen: Optional[int] = None):
         self.maxlen = maxlen or None
@@ -143,11 +167,10 @@ class SpanRing:
         self._t0 = array("d")
         self._dur = array("d")
         self._line = array("q")
-        self._node: List[int] = []
-        self._track: List[str] = []
-        self._name: List[str] = []
-        self._mtype: List[Optional[str]] = []
-        self._requester: List[Optional[int]] = []
+        self._node = array("h")
+        self._requester = array("h")
+        self._label = array("I")
+        self._labels = Interner()
 
     def __len__(self) -> int:
         return len(self._t0)
@@ -155,38 +178,140 @@ class SpanRing:
     def append(self, t0: float, dur: float, node: int, track: str, name: str,
                mtype: Optional[str], line: int,
                requester: Optional[int]) -> None:
+        label = self._labels[track, name, mtype]
+        if requester is None:
+            requester = -1
         t0s = self._t0
         if len(t0s) != self.maxlen:
             t0s.append(t0)
             self._dur.append(dur)
             self._line.append(line)
             self._node.append(node)
-            self._track.append(track)
-            self._name.append(name)
-            self._mtype.append(mtype)
             self._requester.append(requester)
+            self._label.append(label)
             return
         i = self._head
         t0s[i] = t0
         self._dur[i] = dur
         self._line[i] = line
         self._node[i] = node
-        self._track[i] = track
-        self._name[i] = name
-        self._mtype[i] = mtype
         self._requester[i] = requester
+        self._label[i] = label
         i += 1
         self._head = 0 if i == self.maxlen else i
         self.dropped += 1
 
     def __iter__(self) -> Iterator[Tuple]:
         t0s, durs, lines = self._t0, self._dur, self._line
-        nodes, tracks, names = self._node, self._track, self._name
-        mtypes, requesters = self._mtype, self._requester
+        nodes, requesters, codes = self._node, self._requester, self._label
+        labels = self._labels.by_code
         head = self._head
         for i in chain(range(head, len(t0s)), range(head)):
-            yield (t0s[i], durs[i], nodes[i], tracks[i], names[i],
-                   (mtypes[i], lines[i], requesters[i]))
+            track, name, mtype = labels[codes[i]]
+            requester = requesters[i]
+            yield (t0s[i], durs[i], nodes[i], track, name,
+                   (mtype, lines[i], None if requester < 0 else requester))
+
+
+#: CPU wait-segment kinds, in code order: "r" read stall, "w" write stall
+#: or fence, "b" barrier, "l"/"u" lock/unlock, "v" recv, "i" pacing idle.
+WAIT_KINDS = ("r", "w", "b", "l", "u", "v", "i")
+_WAIT_CODES = {kind: code for code, kind in enumerate(WAIT_KINDS)}
+
+
+class WaitSegments:
+    """One node's CPU wait segments ``(t0, t1, kind, arg)``, in end-time
+    order, stored by column: the bounds in ``array('d')`` columns, the kind
+    as a one-byte index into :data:`WAIT_KINDS`, and ``arg`` (the barrier,
+    lock or transfer id; None for stalls) as a reference, about 26 B per
+    segment.  Indexing rebuilds the tuples."""
+
+    __slots__ = ("t0", "t1", "kind", "arg")
+
+    def __init__(self):
+        self.t0 = array("d")
+        self.t1 = array("d")
+        self.kind = array("b")
+        self.arg: List[Any] = []
+
+    def __len__(self) -> int:
+        return len(self.t1)
+
+    def append(self, t0: float, t1: float, kind: str, arg=None) -> None:
+        self.t0.append(t0)
+        self.t1.append(t1)
+        self.kind.append(_WAIT_CODES[kind])
+        self.arg.append(arg)
+
+    def __getitem__(self, i: int) -> Tuple:
+        return (self.t0[i], self.t1[i], WAIT_KINDS[self.kind[i]], self.arg[i])
+
+
+class RetiredMisses:
+    """One node's retired-miss records ``(retire, start, line, cls,
+    is_write, comp, handlers, handler_cycles)``, in retire-time order,
+    stored by column.
+
+    Retire and start times sit in ``array('d')``, the line in
+    ``array('q')``, and ``comp`` (component cycles in :data:`COMPONENTS`
+    order) four to a record in one ``array('d')``.  The miss class and the
+    handler sequence (the handlers that charged PP cycles, in first-charge
+    order) are codes into :class:`Interner` tables the tracer shares across
+    nodes; each record's handler cycles sit in one flat ``array('d')``
+    between ``offsets[i]`` and ``offsets[i + 1]``.  A record costs about
+    80 B plus 8 B per handler.  Indexing rebuilds the tuples.
+    """
+
+    __slots__ = ("retire", "start", "line", "cls", "is_write", "comp", "seq",
+                 "cycles", "offsets", "classes", "seqs")
+
+    def __init__(self, classes: Interner, seqs: Interner):
+        self.retire = array("d")
+        self.start = array("d")
+        self.line = array("q")
+        self.cls = array("B")
+        self.is_write = array("b")
+        self.comp = array("d")
+        self.seq = array("I")
+        self.cycles = array("d")
+        self.offsets = array("I", (0,))
+        self.classes = classes
+        self.seqs = seqs
+
+    def __len__(self) -> int:
+        return len(self.retire)
+
+    def append(self, retire: float, start: float, line: int, cls: str,
+               is_write: bool, comp: Sequence[float],
+               handlers: Tuple[str, ...], cycles: Iterable[float]) -> None:
+        self.retire.append(retire)
+        self.start.append(start)
+        self.line.append(line)
+        self.cls.append(self.classes[cls])
+        self.is_write.append(is_write)
+        self.comp.extend(comp)
+        self.seq.append(self.seqs[handlers])
+        self.cycles.extend(cycles)
+        self.offsets.append(len(self.cycles))
+
+    def class_of(self, i: int) -> str:
+        return self.classes.by_code[self.cls[i]]
+
+    def comp_of(self, i: int) -> array:
+        """Component cycles of record ``i``, in :data:`COMPONENTS` order."""
+        return self.comp[4 * i:4 * i + 4]
+
+    def handlers_of(self, i: int) -> Tuple[str, ...]:
+        return self.seqs.by_code[self.seq[i]]
+
+    def cycles_of(self, i: int) -> array:
+        """Record ``i``'s handler cycles, in :meth:`handlers_of` order."""
+        return self.cycles[self.offsets[i]:self.offsets[i + 1]]
+
+    def __getitem__(self, i: int) -> Tuple:
+        return (self.retire[i], self.start[i], self.line[i], self.class_of(i),
+                bool(self.is_write[i]), tuple(self.comp_of(i)),
+                self.handlers_of(i), tuple(self.cycles_of(i)))
 
 
 class _Txn:
@@ -271,18 +396,16 @@ class Tracer:
         # -- critical-path raw data (repro.stats.critpath) -------------------
         #: Set by Machine._attach_tracer; barrier release = n_procs arrivals.
         self.n_procs = 0
-        #: node -> [(t0, t1, kind, arg)] CPU wait segments, in end-time
-        #: order.  Kinds: "r" read stall, "w" write stall / fence, ("b",)
-        #: barrier, ("l",)/("u",) lock/unlock, ("v",) recv, "i" pacing idle.
-        self.cpu_segments: Dict[int, List[Tuple]] = {}
-        #: node -> [(retire, start, line, cls, is_write, comp, handlers,
-        #: handler_cycles)] retired-transaction records, in retire-time
-        #: order.  ``comp`` is the component cycles in COMPONENTS order;
-        #: ``handlers`` the handlers that charged PP cycles, in first-charge
-        #: order, and ``handler_cycles`` their cycles.
-        self.retired: Dict[int, List[Tuple]] = {}
-        #: One shared ``handlers`` tuple per distinct handler sequence.
-        self._handler_seqs: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        #: node -> its CPU wait segments (:class:`WaitSegments`), in
+        #: end-time order.
+        self.cpu_segments: Dict[int, WaitSegments] = {}
+        #: node -> its retired-transaction records (:class:`RetiredMisses`),
+        #: in retire-time order.
+        self.retired: Dict[int, RetiredMisses] = {}
+        #: Miss-class and handler-sequence codes, shared by every node's
+        #: retired records.
+        self._class_codes = Interner()
+        self._handler_seqs = Interner()
         self._barrier_arrivals: Dict[Any, List[Tuple[float, int]]] = {}
         #: [(release_t, last_arriving_node, barrier_id)] per completed episode.
         self.barrier_episodes: List[Tuple[float, int, Any]] = []
@@ -325,11 +448,12 @@ class Tracer:
         cls = txn.cls if txn.cls is not None else (
             WRITE_CLASS if txn.is_write else "read_unclassified")
         comp = txn.comp()
-        handlers = tuple(txn.handlers)
-        handlers = self._handler_seqs.setdefault(handlers, handlers)
-        self.retired.setdefault(node, []).append(
-            (ts, txn.start, line, cls, txn.is_write, comp, handlers,
-             tuple(txn.handlers.values())))
+        records = self.retired.get(node)
+        if records is None:
+            records = self.retired[node] = RetiredMisses(
+                self._class_codes, self._handler_seqs)
+        records.append(ts, txn.start, line, cls, txn.is_write, comp,
+                       tuple(txn.handlers), txn.handlers.values())
         agg = self._classes.get(cls)
         if agg is None:
             agg = self._classes[cls] = _ClassAgg()
@@ -365,7 +489,10 @@ class Tracer:
         stay ordered by end time (the critical-path walk bisects on them)."""
         if t1 <= t0:
             return
-        self.cpu_segments.setdefault(node, []).append((t0, t1, kind, arg))
+        segments = self.cpu_segments.get(node)
+        if segments is None:
+            segments = self.cpu_segments[node] = WaitSegments()
+        segments.append(t0, t1, kind, arg)
 
     def barrier_arrive(self, node: int, bid, ts: float) -> None:
         """A node reached a barrier; the ``n_procs``-th arrival releases it

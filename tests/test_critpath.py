@@ -14,6 +14,7 @@ Three contracts:
   (and the predicted lever ranking) within tolerance.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -29,8 +30,40 @@ from repro.stats.critpath import BUCKETS, render_critpath
 from repro.stats.metrics import flatten_result
 from repro.stats.report import RunResult
 
-MATRIX = [(app, kind) for app in exp.APP_ORDER
-          for kind in ("flash", "ideal")]
+#: (app, kind, SHA-256 of the canonical JSON of its ``critpath`` block at
+#: ``SMOKE_SIZES``): pins the walk's lock and barrier jumps, slack and
+#: per-handler attribution bit for bit, beyond what the golden hashes of
+#: untraced runs reach.
+MATRIX = [
+    ("barnes", "flash",
+     "dff97ccf16052c95da7e2a9beeee92cc3499650e5e9bc4941cc7d0c13e0349f7"),
+    ("barnes", "ideal",
+     "a6848fb43eeff6fc178da47788c20216c23da3ac83f584b48e71554bb0e08e7d"),
+    ("fft", "flash",
+     "16c9cdd9efbdfb56fec2e338f256117d0ed67446383a8fe0910d50b4b9d94ee9"),
+    ("fft", "ideal",
+     "c6bd5c64a0d38fcf14e75478450481569d9108e1ba6403dd152d7c9e61766243"),
+    ("lu", "flash",
+     "1f1522379288173cef6a9af913210216213c76124bc5621c93807f3e8d8eb968"),
+    ("lu", "ideal",
+     "4b8feb9185bf1e6f14ed8dda3d6fff511cdce84425afa57eb85dd1e91ccb7ee8"),
+    ("mp3d", "flash",
+     "1d5921b4e693aa3b308918f6aa2806cd81e411c50729bbcbfd41b6c4df950810"),
+    ("mp3d", "ideal",
+     "ee14bc743eafe9278ac4dc4f39e5fbb872f844125c50c0526f71460c464ce049"),
+    ("ocean", "flash",
+     "930e5f05586c70c3a927f100f93e7343f51077c274278f320b4f7c5f4d60a999"),
+    ("ocean", "ideal",
+     "7d5941ec82f4b274fa13737a9cf530ed4d0c9c758d8c3af7db13ad328aa3faeb"),
+    ("os", "flash",
+     "95629bdd124c888bb3a9cde3f9313e992b4a8d5dc3be2e195f001801f3041b5f"),
+    ("os", "ideal",
+     "52ec7c15708db130ff3089b6f4465be1de73d67633c58c80dafef347d572bd5e"),
+    ("radix", "flash",
+     "0112f755fbff57396b01c0ba3de52b4d1cdab8c2d1ffffc127744c27d49f8d62"),
+    ("radix", "ideal",
+     "0ea8727dccf1e4bb1f70a9326b9cebf5a5fca458e73a3dff2bdaad6740ffb520"),
+]
 
 
 @pytest.fixture(autouse=True)
@@ -53,11 +86,16 @@ def traced(app, kind, **kwargs):
 class TestExactReconciliation:
     """Critical-path length == execution time on the whole golden matrix."""
 
-    @pytest.mark.parametrize("app,kind", MATRIX)
-    def test_length_equals_execution_time_exactly(self, app, kind):
+    @pytest.mark.parametrize("app,kind,sha", [
+        pytest.param(app, kind, sha, id=f"{app}-{kind}")
+        for app, kind, sha in MATRIX])
+    def test_length_equals_execution_time_exactly(self, app, kind, sha):
         result = traced(app, kind)
         cp = result.critpath
         assert cp is not None
+        text = json.dumps(cp, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == sha, (
+            f"{app}/{kind}: critical path drifted from its recorded hash")
         # Exact, by construction: the backward walk tiles (0, T].
         assert cp["length"] == result.execution_time
         # The float cross-check: summed pieces telescope back to T.

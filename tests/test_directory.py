@@ -172,7 +172,7 @@ def test_machine_build_footprint():
 
 
 def test_traced_run_bytes_per_buffered_span():
-    """The span ring keeps a span in ~64 B of columns.  Two traced runs of
+    """The span ring keeps a span in ~34 B of columns.  Two traced runs of
     the same smoke spec differ only in ring capacity, so their difference
     in live allocation after the run is the ring's cost of the extra
     spans."""
@@ -193,7 +193,34 @@ def test_traced_run_bytes_per_buffered_span():
     held_one, one = held_after_run(1)
     assert spans > 10_000 and one == 1
     per_span = (held_all - held_one) / (spans - one)
-    assert per_span <= 80, f"{per_span:.1f} B per buffered span"
+    assert per_span <= 40, f"{per_span:.1f} B per buffered span"
+
+
+def test_traced_run_bytes_per_miss_record():
+    """The critical-path raw data is kept for every miss, so its columns
+    must stay small: a retired-miss record costs ~80 B plus 8 B per PP
+    handler and a CPU wait segment ~26 B.  With a one-span ring, a traced
+    run holds little more than an untraced one beyond those records."""
+    def held_after_run(trace):
+        spec = experiments.normalize_spec(
+            "mp3d", kind="flash",
+            workload_overrides=experiments.SMOKE_SIZES["mp3d"], trace=trace)
+        machine, ops, _ = experiments.build_machine(spec)
+        tracemalloc.start()
+        try:
+            machine.run(ops)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return held, machine.tracer
+
+    held_plain, _ = held_after_run(None)
+    held_traced, tracer = held_after_run(parse_trace_spec("buf=1"))
+    records = (sum(len(recs) for recs in tracer.retired.values())
+               + sum(len(segs) for segs in tracer.cpu_segments.values()))
+    assert records > 5_000
+    per_record = (held_traced - held_plain) / records
+    assert per_record <= 96, f"{per_record:.1f} B per miss record"
 
 
 def test_finished_machine_is_freed_when_the_next_run_starts(monkeypatch):

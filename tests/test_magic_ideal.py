@@ -141,3 +141,30 @@ class TestQueueLimits:
         bufs = machine.nodes[0].controller.data_buffers
         assert bufs.total_acquires >= 1
         assert bufs.in_use == 0  # all released at quiesce
+
+
+class TestInboxWaiter:
+    def test_pending_get_carries_at_most_one_waiter(self, monkeypatch):
+        """While the inbox waits on both interfaces, each pending get holds
+        one arbitration waiter; a get that outlives several waits must not
+        collect a spent waiter per wait."""
+        from repro.harness import experiments
+        from repro.magic.chip import MagicChip
+
+        most = []
+        ib_next = MagicChip._ib_next
+
+        def watched(chip):
+            ib_next(chip)
+            for get in (chip._get_pi, chip._get_ni):
+                if get.callbacks:
+                    most.append(len(get.callbacks))
+
+        monkeypatch.setattr(MagicChip, "_ib_next", watched)
+        spec = experiments.normalize_spec(
+            "mp3d", kind="flash",
+            workload_overrides=experiments.SMOKE_SIZES["mp3d"])
+        machine, ops, _ = experiments.build_machine(spec)
+        machine.run(ops)
+        assert most, "the inbox never waited on both interfaces"
+        assert max(most) == 1

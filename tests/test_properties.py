@@ -13,7 +13,10 @@ from repro.common.errors import ProtocolError
 from repro.common.params import MagicCacheConfig, flash_config, ideal_config
 from repro.machine import Machine
 from repro.protocol.directory import Directory, LinkStore
-from repro.stats.trace import SpanRing, Tracer
+from repro.stats.trace import (
+    COMPONENTS, WAIT_KINDS, Interner, RetiredMisses, SpanRing, Tracer,
+    WaitSegments,
+)
 
 KB = 1024
 MB = 1024 * 1024
@@ -327,6 +330,77 @@ def test_span_ring_matches_deque(seed, maxlen, appends):
             assert list(ring) == list(reference.spans)
     assert list(ring) == list(reference.spans)
     assert ring.dropped == reference.dropped
+
+
+def _random_miss(rng, handler_names):
+    """A retired-miss record in the tuple form :class:`RetiredMisses`
+    replaced; two in five charged no PP handler."""
+    start = rng.uniform(0.0, 1e6)
+    handlers = tuple(rng.sample(handler_names, rng.choice([0, 0, 1, 2, 4])))
+    return (start + rng.uniform(1.0, 900.0), start,
+            rng.randrange(1 << 24) * LINE,
+            rng.choice(["local_clean", "remote_dirty_home", "write"]),
+            rng.random() < 0.5,
+            tuple(rng.choice([0.0, rng.uniform(0.0, 300.0)])
+                  for _ in COMPONENTS),
+            handlers, tuple(rng.uniform(1.0, 60.0) for _ in handlers))
+
+
+def _random_wait(rng):
+    t0 = rng.uniform(0.0, 1e6)
+    kind = rng.choice(WAIT_KINDS)
+    arg = (rng.choice([None, 0, 7, ("bar", 3), "lock-2"])
+           if kind in "bluv" else None)
+    return (t0, t0 + rng.uniform(0.5, 5e3), kind, arg)
+
+
+@pytest.mark.parametrize("appends", [0, 1, 300])
+@pytest.mark.parametrize("seed", range(4))
+def test_miss_columns_match_tuple_lists(seed, appends):
+    """The per-node column stores read back exactly the tuples a
+    list-of-tuples store would hold, by index, by iteration and by
+    column; the span ring does the same for node ids up to 255."""
+    rng = random.Random(seed)
+    handler_names = ["h%d" % k for k in range(6)]
+    classes, seqs = Interner(), Interner()
+    retired, retired_ref = {}, {}
+    waits, waits_ref = {}, {}
+    ring, ring_ref = SpanRing(0), _DequeSpans(0)
+    for _ in range(appends):
+        node = rng.randrange(256)
+        record = _random_miss(rng, handler_names)
+        retired.setdefault(node, RetiredMisses(classes, seqs)).append(*record)
+        retired_ref.setdefault(node, []).append(record)
+        wait = _random_wait(rng)
+        waits.setdefault(node, WaitSegments()).append(*wait)
+        waits_ref.setdefault(node, []).append(wait)
+        span = _random_span(rng)
+        span = span[:2] + (node,) + span[3:7] + (
+            rng.choice([None, node, 255]),)
+        ring.append(*span)
+        ring_ref.append(*span)
+    assert list(retired) == list(retired_ref)
+    for node, reference in retired_ref.items():
+        store = retired[node]
+        assert len(store) == len(reference)
+        assert list(store) == reference
+        for i, record in enumerate(reference):
+            assert store[i] == record
+            assert store.retire[i] == record[0]
+            assert store.start[i] == record[1]
+            assert store.class_of(i) == record[3]
+            assert tuple(store.comp_of(i)) == record[5]
+            assert store.handlers_of(i) == record[6]
+            assert tuple(store.cycles_of(i)) == record[7]
+    for node, reference in waits_ref.items():
+        store = waits[node]
+        assert list(store) == reference
+        assert [store[i] for i in range(len(store))] == reference
+        assert list(store.t1) == [wait[1] for wait in reference]
+    assert list(ring) == list(ring_ref.spans)
+    # One shared code per distinct value, across nodes.
+    assert len(seqs.by_code) == len(set(seqs.by_code)) == len(seqs)
+    assert len(classes.by_code) == len(set(classes.by_code)) == len(classes)
 
 
 @pytest.mark.parametrize("maxlen", [0, 16])

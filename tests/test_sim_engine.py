@@ -31,6 +31,12 @@ class TestTimeout:
         with pytest.raises(SimulationError):
             env.timeout(-1)
 
+    def test_call_later_negative_delay_rejected(self, env):
+        env.run(until=10)
+        with pytest.raises(SimulationError):
+            env.call_later(-1, lambda: None)
+        assert not env._ready
+
     def test_not_triggered_before_fire(self, env):
         t = env.timeout(5)
         assert not t.triggered
