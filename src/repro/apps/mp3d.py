@@ -14,6 +14,7 @@ Paper problem size: 50,000 particles.  Default: 4096 particles, 4 steps.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterator, List, Tuple
 
 from ..common.params import MachineConfig
@@ -40,30 +41,29 @@ class MP3DWorkload(Workload):
         self.move_work = move_work
         self.seed = seed
 
-    def _trajectories(self, n_procs: int):
-        """Per-step cell index for each particle, plus collision partners.
+    def _trajectories(self, n_procs: int) -> List[Tuple[array, array]]:
+        """Per step, two columns indexed by particle: the cell it lands in
+        and its collision partner (-1 for none).
 
         Particles drift through the cell grid; the cell sequence is what
         creates the migratory-data sharing pattern.
         """
         rng = rng_stream(self.seed)
         cell_of = [rng() % self.n_cells for _ in range(self.n_particles)]
-        steps: List[List[Tuple[int, int]]] = []
+        steps: List[Tuple[array, array]] = []
         collision_cut = int(self.collision_fraction * 2**32)
         for _step in range(self.steps):
-            frame: List[Tuple[int, int]] = []
+            partners = [-1] * self.n_particles
             occupants = {}
             for p in range(self.n_particles):
                 # Drift to a nearby cell (unstructured but spatially local).
                 delta = (rng() % 7) - 3
                 cell_of[p] = (cell_of[p] + delta) % self.n_cells
                 cell = cell_of[p]
-                partner = -1
                 if rng() < collision_cut and cell in occupants:
-                    partner = occupants[cell]
+                    partners[p] = occupants[cell]
                 occupants[cell] = p
-                frame.append((cell, partner))
-            steps.append(frame)
+            steps.append((array("l", cell_of), array("l", partners)))
         return steps
 
     def build(self, config: MachineConfig):
@@ -103,9 +103,10 @@ class MP3DWorkload(Workload):
         yield from ops.flush()
         yield ("b", "mp3d.init")
 
-        for step, frame in enumerate(trajectories):
+        for step, (cell_col, partner_col) in enumerate(trajectories):
             for p in mine:
-                cell, partner = frame[p]
+                cell = cell_col[p]
+                partner = partner_col[p]
                 # Move: read-modify-write the particle (local) ...
                 yield from ops.read(particle_addr(p))
                 yield from ops.compute(self.move_work)

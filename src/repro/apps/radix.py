@@ -13,6 +13,7 @@ Paper problem size: 256K integer keys, radix 256.  Default: 16K keys.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterator, List, Tuple
 
 from ..common.errors import ConfigError
@@ -42,43 +43,27 @@ class RadixWorkload(Workload):
 
     # -- the logical sort (computed at build time, like a trace generator) -----
 
-    def _plan(self, n_procs: int) -> List[List[List[Tuple[int, int]]]]:
-        """For each pass and processor: [(src_global_index, dst_global_index)]."""
+    def _plan(self, n_procs: int) -> List[array]:
+        """For each pass, a column ``dest``: the key at position ``i`` moves
+        to global index ``dest[i]``.  Processor ``cpu`` moves the keys at
+        positions ``cpu * chunk`` through ``(cpu + 1) * chunk - 1``."""
         rng = rng_stream(self.seed)
         mask = (1 << self.key_bits) - 1
         keys = [rng() & mask for _ in range(self.n_keys)]
-        order = list(range(self.n_keys))  # order[i] = key id at position i
-        chunk = self.n_keys // n_procs
-        plan: List[List[List[Tuple[int, int]]]] = []
+        positions = list(range(self.n_keys))
+        order = positions  # order[i] = key id at position i
+        plan: List[array] = []
         for p in range(self.n_passes):
             shift = p * self.digit_bits
             digit_of = [(keys[kid] >> shift) & (self.radix - 1) for kid in order]
-            # Stable counting sort of positions by digit, processor-major as
-            # in SPLASH (processor 0's keys with digit d precede processor
-            # 1's keys with digit d).
-            counts = [0] * self.radix
-            for d in digit_of:
-                counts[d] += 1
-            starts = [0] * self.radix
-            acc = 0
-            for d in range(self.radix):
-                starts[d] = acc
-                acc += counts[d]
-            dest = [0] * self.n_keys
-            cursor = starts[:]
-            for i in range(self.n_keys):
-                d = digit_of[i]
-                dest[i] = cursor[d]
-                cursor[d] += 1
-            per_proc: List[List[Tuple[int, int]]] = [
-                [(i, dest[i]) for i in range(cpu * chunk, (cpu + 1) * chunk)]
-                for cpu in range(n_procs)
-            ]
-            plan.append(per_proc)
-            new_order = [0] * self.n_keys
-            for i in range(self.n_keys):
-                new_order[dest[i]] = order[i]
-            order = new_order
+            # Stable sort of positions by digit, processor-major as in
+            # SPLASH (processor 0's keys with digit d precede processor 1's
+            # keys with digit d): by_dest[j] is the position moving to j,
+            # and dest, its inverse, is where each position moves.
+            by_dest = sorted(positions, key=digit_of.__getitem__)
+            dest = sorted(positions, key=by_dest.__getitem__)
+            plan.append(array("l", dest))
+            order = [order[i] for i in by_dest]
         return plan
 
     # -- stream generation ---------------------------------------------------------
@@ -117,7 +102,7 @@ class RadixWorkload(Workload):
         for p in range(self.n_passes):
             src = arrays[p % 2]
             dst = arrays[(p + 1) % 2]
-            moves = plan[p][cpu]
+            dest = plan[p]
             # Phase 1: local histogram over this processor's block of the
             # current source array (lines last written by remote permuters).
             for i in range(cpu * chunk, (cpu + 1) * chunk):
@@ -139,8 +124,8 @@ class RadixWorkload(Workload):
             yield ("b", ("radix.rank", p))
             # Phase 3: permutation — scatter local keys to their global
             # positions in the destination array.
-            for src_i, dst_i in moves:
-                yield from ops.read(src.element(src_i, KEY_BYTES))
-                yield from ops.write(dst.element(dst_i, KEY_BYTES))
+            for i in range(cpu * chunk, (cpu + 1) * chunk):
+                yield from ops.read(src.element(i, KEY_BYTES))
+                yield from ops.write(dst.element(dest[i], KEY_BYTES))
             yield from ops.flush()
             yield ("b", ("radix.perm", p))

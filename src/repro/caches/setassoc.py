@@ -10,6 +10,9 @@ Address decomposition is pure shift/mask arithmetic: ``line_bytes`` and
 construction, so the per-reference hot path (``access``) is a single dict
 pop/insert with precomputed shifts — no division, no separate
 ``state_of``/``touch`` round trips.
+
+Sets are created on first touch: a 1 MB two-way cache has 4,096 sets, and
+a run reaches only the ones its working set maps to.
 """
 
 from __future__ import annotations
@@ -85,6 +88,16 @@ class CacheStats:
         return self
 
 
+class _LazySets(dict):
+    """Set index -> that set's ``{tag: state}`` dict, made on first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, index: int) -> Dict[int, str]:
+        cache_set = self[index] = {}
+        return cache_set
+
+
 class SetAssocCache:
     """LRU set-associative cache keyed by *line address* (byte address of the
     first byte of the line)."""
@@ -109,8 +122,9 @@ class SetAssocCache:
         #: Byte span of one full pass over the sets (line_bytes * n_sets):
         #: the stride between two addresses that share a set index.
         self.set_span = self.line_bytes * self.n_sets
-        # Each set: ordered dict-like list of (tag, state); index 0 = MRU.
-        self._sets: List[Dict[int, str]] = [dict() for _ in range(self.n_sets)]
+        # Set index -> {tag: state} in insertion order, so the first key is
+        # the LRU line and the last the MRU one.  Untouched sets do not exist.
+        self._sets: Dict[int, Dict[int, str]] = _LazySets()
         self.stats = CacheStats()
 
     # -- address helpers ------------------------------------------------------
@@ -236,12 +250,14 @@ class SetAssocCache:
     # -- inspection -----------------------------------------------------------
 
     def resident_lines(self) -> Iterator[Tuple[int, str]]:
+        """Resident ``(line_addr, state)`` pairs, by ascending set index and
+        LRU-first within a set."""
         span = self.set_span
         shift = self.line_shift
-        for index, cache_set in enumerate(self._sets):
+        for index, cache_set in sorted(self._sets.items()):
             base = index << shift
             for tag, state in cache_set.items():
                 yield tag * span + base, state
 
     def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets.values())

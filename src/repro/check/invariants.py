@@ -51,7 +51,7 @@ def line_dump(machine, line_addr: Optional[int],
                 "dirty": entry.dirty, "owner": entry.owner,
                 "pending": entry.pending,
                 "sharers": node.directory.sharers(line_addr),
-                "deferred": len(entry.deferred),
+                "deferred": len(entry.deferred or ()),
             }
             break
     cache_states = {}

@@ -1,6 +1,7 @@
-"""Experiment harness: per-table experiments, microbenchmarks, rendering,
-the parallel run farm and the persistent result cache."""
+"""Experiment harness: per-table experiments (``experiments``),
+microbenchmarks (``micro``), rendering (``tables``), the parallel run farm
+(``runfarm``) and the persistent result cache (``diskcache``).
 
-from . import diskcache, experiments, micro, runfarm, tables
-
-__all__ = ["diskcache", "experiments", "micro", "runfarm", "tables"]
+The package imports none of its submodules, so a caller pays only for what
+it names: ``from repro.harness import experiments`` does not pull in the
+run farm's ``multiprocessing`` and ``concurrent.futures``."""

@@ -268,7 +268,7 @@ class NodeProtocolEngine:
             # A three-hop transaction is in flight, the recorded owner is
             # re-requesting, or the home's own processor has a writeback
             # sitting in the PI queue: defer until the state settles.
-            entry.deferred.append(msg)
+            entry.defer(msg)
             self.deferred_count += 1
             if self.tracer is not None:
                 self.tracer.deferred(self.node_id, msg)
@@ -456,7 +456,7 @@ class NodeProtocolEngine:
         line = msg.line_addr
         entry = self.directory.entry(line)
         if entry.pending:
-            entry.deferred.append(msg)
+            entry.defer(msg)
             self.deferred_count += 1
             return [Action(Handler.DEFERRED, msg, deferred=True)]
         position, addrs = self.directory.remove_sharer(line, msg.requester)

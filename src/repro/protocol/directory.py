@@ -93,11 +93,19 @@ class DirectoryEntry:
         self.owner: Optional[int] = None
         self.head: Optional[int] = None     # index into the link store
         self.pending = False                # three-hop transaction in flight
-        self.deferred: Deque = deque()      # messages replayed when stable
+        # Messages replayed when the entry is stable; the deque is made by
+        # the first defer, so None reads as empty.
+        self.deferred: Optional[Deque] = None
 
     @property
     def is_uncached(self) -> bool:
         return not self.dirty and self.head is None
+
+    def defer(self, msg) -> None:
+        """Queue ``msg`` for replay once the entry is stable."""
+        if self.deferred is None:
+            self.deferred = deque()
+        self.deferred.append(msg)
 
 
 class Directory:

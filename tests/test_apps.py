@@ -1,5 +1,7 @@
 """Tests for the workload generators."""
 
+import hashlib
+
 import pytest
 
 from repro.apps import (
@@ -9,6 +11,7 @@ from repro.apps import (
 from repro.common.errors import ConfigError
 from repro.common.params import flash_config
 from repro.common.units import line_address
+from repro.harness.experiments import SMOKE_SIZES
 
 SMALL = {
     "barnes": dict(bodies=128, iterations=1),
@@ -114,9 +117,8 @@ class TestRadix:
     def test_plan_is_a_permutation(self):
         wl = RadixWorkload(**SMALL["radix"])
         plan = wl._plan(4)
-        for per_pass in plan:
-            dests = [d for proc in per_pass for (_s, d) in proc]
-            assert sorted(dests) == list(range(wl.n_keys))
+        for dest in plan:
+            assert sorted(dest) == list(range(wl.n_keys))
 
     def test_plan_actually_sorts(self):
         wl = RadixWorkload(keys=512, radix=16, key_bits=8, seed=3)
@@ -124,10 +126,9 @@ class TestRadix:
         rng = rng_stream(3)
         keys = [rng() & 0xFF for _ in range(512)]
         order = list(range(512))
-        for per_pass in wl._plan(4):
-            moves = {s: d for proc in per_pass for (s, d) in proc}
+        for dest in wl._plan(4):
             new_order = [0] * 512
-            for s, d in moves.items():
+            for s, d in enumerate(dest):
                 new_order[d] = order[s]
             order = new_order
         values = [keys[kid] for kid in order]
@@ -168,8 +169,9 @@ class TestBarnes:
 class TestMP3D:
     def test_trajectories_stay_in_grid(self):
         wl = MP3DWorkload(particles=256, cells=128, steps=3)
-        for frame in wl._trajectories(4):
-            for cell, partner in frame:
+        for cells, partners in wl._trajectories(4):
+            assert len(cells) == len(partners) == 256
+            for cell, partner in zip(cells, partners):
                 assert 0 <= cell < 128
                 assert partner == -1 or 0 <= partner < 256
 
@@ -177,7 +179,8 @@ class TestMP3D:
         wl = MP3DWorkload(particles=512, cells=64, steps=2,
                           collision_fraction=0.9)
         frames = wl._trajectories(4)
-        assert any(partner >= 0 for frame in frames for _c, partner in frame)
+        assert any(partner >= 0 for _cells, partners in frames
+                   for partner in partners)
 
 
 class TestOS:
@@ -213,3 +216,64 @@ class TestOcean:
         mem = config.memory_bytes_per_node
         homes = {op[1] // mem for op in streams[0] if op[0] == "r"}
         assert len(homes) >= 2  # own subgrid plus at least one neighbour
+
+
+#: SHA-256 (first 16 hex digits) of each CPU's full op stream on 16 CPUs,
+#: one ``repr(op)`` per line.  Recorded before the radix plan and the mp3d
+#: trajectories moved from per-particle tuples to array columns: how a
+#: workload stores its plan must not change a single op.
+OP_STREAM_SHAS = {
+    ("radix", "default"): [
+        "4532d26316d3a900", "7e5148ad3da0e6c1", "d2b2baf32268c443",
+        "39f17d42f56d1122", "e874f0d34ec21d66", "7a43ee0b7f0ea8ce",
+        "44a2f1ed820a853c", "66baecad098594b7", "f1d1996a5d72ab60",
+        "88bae6faf18232b8", "7177283db4254bc0", "1a779d05400128b6",
+        "3aebe966782b6515", "4be7d683ed28a7a0", "7d6db8591dc0bcbd",
+        "8f7c268601b42776",
+    ],
+    ("radix", "smoke"): [
+        "06bf4b3f0d55dcdc", "9f01d7f1f46c1921", "92eb2ab4c6bccac1",
+        "7c4d9a5de090010e", "dbf1f5ba1a6d1048", "18d879b7a378b9d0",
+        "35b3dfa655200f34", "0442b19e8af91c66", "5337141515fb8695",
+        "eef3277f682a8cef", "984403e58c70013c", "25714b7625723dc2",
+        "3a7466c7e6ec2c79", "82b24dbf4ec38606", "dc8fe33af56d72c9",
+        "863e6656494bf9b6",
+    ],
+    ("radix", "small"): [
+        "d3e24ca6dd7ea558", "0e203eba21dd203e", "1cce2140ad0d98bd",
+        "18394438d6db1fba", "9d649058aba54511", "fe30b928804d000b",
+        "88750cf42b1fffdc", "89ae4ed5ae2ef3c0", "1f91b03536243749",
+        "02b09931bbb9975d", "7019f6f9080c543b", "a39064c0a05794a8",
+        "60c15d64d54d2280", "411d28554ca51be5", "0fafa6636529fa45",
+        "bbe17a6db016235a",
+    ],
+    ("mp3d", "default"): [
+        "743484c454120ae3", "31f6ccd2ceffe11c", "acfd5b5f31e8b953",
+        "61e444a4055dbfed", "a2b2b2f4c0520e55", "e2a50de40361248b",
+        "0a40556817f87233", "0cede4afe35c1142", "0419d4dba693dd61",
+        "38e8c9c42007b1a3", "7cd548a30149af60", "a0ea274f7607df92",
+        "796c92d07ac40a2c", "f79d312179369459", "59e35d1406128ab7",
+        "9d97a56677b7ae83",
+    ],
+    ("mp3d", "smoke"): [
+        "780c2c2bf00734cd", "d4d0298f28671e23", "1f2a18b222547ae9",
+        "4a0d3b44f904613f", "4929bcb3f942d188", "7460854a32b79c20",
+        "5d7f4ade21d0539f", "719409d98310adbc", "f79a51c734069d78",
+        "38f158fdffff737c", "775ae6fbd52773fa", "9a1d1cf8836e0119",
+        "8c335351004bd4ed", "74b463051f9937dc", "1d4c7dcb831c158c",
+        "64da22cc27d904e0",
+    ],
+}
+
+
+@pytest.mark.parametrize("app, size", sorted(OP_STREAM_SHAS))
+def test_op_streams_unchanged(app, size):
+    sizes = {"default": {}, "smoke": SMOKE_SIZES[app], "small": SMALL[app]}
+    streams = PAPER_APPS[app](**sizes[size]).build(flash_config(n_procs=16))
+    digests = []
+    for ops in streams:
+        digest = hashlib.sha256()
+        for op in ops:
+            digest.update(repr(op).encode() + b"\n")
+        digests.append(digest.hexdigest()[:16])
+    assert digests == OP_STREAM_SHAS[app, size]

@@ -2,11 +2,16 @@
 memory-footprint gates of building, tracing and running a machine."""
 
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 
+from repro.apps import MP3DWorkload, RadixWorkload
 from repro.common.errors import ProtocolError
 from repro.harness import experiments
 from repro.protocol.directory import Directory, LinkStore
@@ -155,12 +160,16 @@ class TestLinkStore:
         assert store.addr_of(2) == 0x1000 + 16
 
 
-def test_machine_build_footprint():
-    """Building the default mp3d FLASH machine allocates only what a run
-    touches: no eager per-line or per-link state.  The lazy link store
-    brings this to ~7 MiB; a pre-filled 64K-link pool per node alone costs
-    ~56 MiB."""
-    spec = experiments.normalize_spec("mp3d", kind="flash")
+@pytest.mark.parametrize("app, regime", [
+    ("mp3d", "large"), ("ocean", "large"), ("radix", "small"),
+])
+def test_machine_build_footprint(app, regime):
+    """Building a default FLASH machine allocates only what a run touches:
+    no eager per-line, per-link or per-set state, and the radix plan as
+    array columns.  This measures ~0.5-1.0 MiB; empty 1 MB-cache sets made
+    up front cost 4.9 MiB, the radix plan as tuples ~8 MiB, and a
+    pre-filled 64K-link pool per node ~56 MiB."""
+    spec = experiments.normalize_spec(app, kind="flash", regime=regime)
     tracemalloc.start()
     try:
         built = experiments.build_machine(spec)
@@ -168,7 +177,54 @@ def test_machine_build_footprint():
     finally:
         tracemalloc.stop()
     assert built[0].nodes
-    assert traced < 16 * MB, f"build_machine traced {traced / MB:.1f} MiB"
+    assert traced < 2 * MB, f"build_machine traced {traced / MB:.2f} MiB"
+
+
+def _held_bytes(obj):
+    """Deep size of a structure of lists and tuples: every container and
+    leaf object once.  (On these columns tracemalloc agrees to 0.1 MiB,
+    but it slows the two plan builds from ~1 s to ~7 s.)"""
+    seen = set()
+    total = 0
+    stack = [obj]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        total += sys.getsizeof(item)
+        if isinstance(item, (list, tuple)):
+            stack.extend(item)
+    return total
+
+
+def test_paper_size_app_plans_are_columns():
+    """At the paper's problem sizes the radix plan (262,144 keys, two
+    passes) holds 4 MiB of destination columns and the mp3d trajectories
+    (50,000 particles, four steps) 3 MiB of cell and partner columns; as
+    per-key tuples they held 60 MiB and 18 MiB."""
+    plan = RadixWorkload(keys=262144, radix=256, key_bits=16)._plan(16)
+    radix = _held_bytes(plan)
+    assert radix <= 8 * MB, f"radix plan holds {radix / MB:.2f} MiB"
+    steps = MP3DWorkload(particles=50000, steps=4)._trajectories(16)
+    mp3d = _held_bytes(steps)
+    assert mp3d <= 6 * MB, f"mp3d trajectories hold {mp3d / MB:.2f} MiB"
+
+
+def test_experiments_import_leaves_the_run_farm_out():
+    """A bench child imports ``repro.harness.experiments`` only; the run
+    farm and its process-pool modules must not come with it."""
+    probe = (
+        "import sys, repro.harness.experiments\n"
+        "print(' '.join(sorted(m for m in ('multiprocessing',"
+        " 'concurrent.futures', 'repro.harness.runfarm')"
+        " if m in sys.modules)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ""
 
 
 def test_traced_run_bytes_per_buffered_span():

@@ -8,11 +8,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.caches.setassoc import CacheState
+from repro.caches.setassoc import CacheState, CacheStats, SetAssocCache
+from repro.check.invariants import line_dump
 from repro.common.errors import ProtocolError
-from repro.common.params import MagicCacheConfig, flash_config, ideal_config
+from repro.common.params import (
+    CacheConfig, MagicCacheConfig, flash_config, ideal_config,
+)
 from repro.machine import Machine
+from repro.protocol.coherence import Handler
 from repro.protocol.directory import Directory, LinkStore
+from repro.protocol.messages import Message, MessageType as MT
 from repro.stats.trace import (
     COMPONENTS, WAIT_KINDS, Interner, RetiredMisses, SpanRing, Tracer,
     WaitSegments,
@@ -432,3 +437,154 @@ def test_tracer_node_filter_matches_deque(seed, maxlen):
     assert len(tracer.spans) == len(reference.spans)
     assert list(tracer.spans) == list(reference.spans)
     assert tracer.spans_dropped == reference.dropped
+
+
+class _EagerCache:
+    """Reference cache with every set made up front: a list of
+    ``{line_addr: state}`` dicts in LRU order, the form the lazily created
+    sets of :class:`SetAssocCache` replaced."""
+
+    def __init__(self, config):
+        self.line_bytes = config.line_bytes
+        self.ways = config.associativity
+        self.sets = [{} for _ in range(config.n_sets)]
+        self.stats = CacheStats()
+
+    def _set(self, line):
+        return self.sets[(line // self.line_bytes) % len(self.sets)]
+
+    def access(self, line, is_write):
+        cache_set = self._set(line)
+        state = cache_set.pop(line, None)
+        if state is None:
+            if is_write:
+                self.stats.write_misses += 1
+            else:
+                self.stats.read_misses += 1
+            return CacheState.INVALID
+        cache_set[line] = state
+        if not is_write:
+            self.stats.read_hits += 1
+        elif state == CacheState.SHARED:
+            self.stats.write_misses += 1
+        else:
+            self.stats.write_hits += 1
+        return state
+
+    def fill(self, line, state):
+        cache_set = self._set(line)
+        victim = None
+        if cache_set.pop(line, None) is None and len(cache_set) >= self.ways:
+            victim = next(iter(cache_set.items()))
+            del cache_set[victim[0]]
+            if victim[1] == CacheState.DIRTY:
+                self.stats.evictions_dirty += 1
+            else:
+                self.stats.evictions_clean += 1
+        cache_set[line] = state
+        return victim
+
+    def touch(self, line):
+        cache_set = self._set(line)
+        cache_set[line] = cache_set.pop(line)
+
+    def rmw_touch(self, line):
+        cache_set = self._set(line)
+        if cache_set.pop(line, None) is None:
+            return False
+        cache_set[line] = CacheState.DIRTY
+        return True
+
+    def set_state(self, line, state):
+        cache_set = self._set(line)
+        if line not in cache_set:
+            raise KeyError(line)
+        cache_set[line] = state
+
+    def invalidate(self, line):
+        prior = self._set(line).pop(line, CacheState.INVALID)
+        if prior != CacheState.INVALID:
+            self.stats.invalidations_received += 1
+        return prior
+
+    def lines_in_set(self, line):
+        return list(self._set(line))
+
+    def set_is_full(self, line):
+        return len(self._set(line)) >= self.ways
+
+    def resident_lines(self):
+        return [item for cache_set in self.sets for item in cache_set.items()]
+
+    def occupancy(self):
+        return sum(len(cache_set) for cache_set in self.sets)
+
+
+_STATES = [CacheState.SHARED, CacheState.DIRTY]
+
+
+def _cache_call(cache, op, line, arg):
+    """One operation's outcome: its return value, or the exception type."""
+    try:
+        if op in ("access", "fill", "set_state"):
+            return getattr(cache, op)(line, arg)
+        return getattr(cache, op)(line)
+    except KeyError:
+        return KeyError
+
+
+@pytest.mark.parametrize("size, ways, line_bytes", [
+    (128, 1, 128),       # 1 set, 1 way
+    (512, 4, 128),       # 1 set, 4 ways
+    (1024, 1, 128),      # 8 sets, direct-mapped
+    (2 * KB, 2, 128),    # 8 sets, 2 ways
+    (4 * KB, 4, 64),     # 16 sets, 4 ways, 64-byte lines
+])
+@pytest.mark.parametrize("seed", range(4))
+def test_lazy_cache_sets_match_eager_sets(seed, size, ways, line_bytes):
+    """Sets made on first touch give the same hits, victims, states, stats
+    and resident-line order as every set made up front."""
+    config = CacheConfig(size_bytes=size, associativity=ways,
+                         line_bytes=line_bytes)
+    rng = random.Random(seed)
+    lazy = SetAssocCache(config)
+    eager = _EagerCache(config)
+    ops = ["access", "fill", "touch", "rmw_touch", "set_state",
+           "invalidate", "lines_in_set", "set_is_full"]
+    # Three times as many lines as the cache holds: sets overflow and evict.
+    n_lines = config.n_sets * ways * 3
+    for _ in range(600):
+        op = rng.choice(ops)
+        line = rng.randrange(n_lines) * line_bytes
+        arg = rng.random() < 0.5 if op == "access" else rng.choice(_STATES)
+        got = _cache_call(lazy, op, line, arg)
+        assert got == _cache_call(eager, op, line, arg), (op, line)
+        assert list(lazy.resident_lines()) == eager.resident_lines()
+        assert lazy.occupancy() == eager.occupancy()
+        assert lazy.stats.to_dict() == eager.stats.to_dict()
+    stats = lazy.stats
+    assert stats.evictions_clean + stats.evictions_dirty > 0
+    assert len(lazy._sets) <= config.n_sets
+
+
+def test_directory_entry_defers_only_on_demand():
+    """A never-deferred entry holds no queue and dumps ``deferred`` 0; a
+    defer-then-replay round trip leaves the queue empty again."""
+    machine = Machine(flash_config(n_procs=4))
+    node = machine.nodes[0]
+    line = 0x200  # homed at node 0
+    entry = node.directory.entry(line)
+    assert entry.deferred is None
+    assert line_dump(machine, line)["directory"]["deferred"] == 0
+
+    node.directory.set_dirty(line, owner=2)
+    node.engine.process(Message(MT.REMOTE_GET, line, 3, 0, 3))
+    actions = node.engine.process(Message(MT.REMOTE_GET, line, 1, 0, 1))
+    assert actions[0].deferred
+    assert line_dump(machine, line)["directory"]["deferred"] == 1
+    actions = node.engine.process(
+        Message(MT.SHARING_WRITEBACK, line, 2, 0, 3))
+    assert [a.handler for a in actions] == [Handler.SHARING_WB,
+                                           Handler.GET_HOME_CLEAN]
+    assert not entry.deferred
+    assert line_dump(machine, line)["directory"]["deferred"] == 0
