@@ -7,17 +7,18 @@ values, just like a timing-accurate trace-driven simulator.
 
 Address decomposition is pure shift/mask arithmetic: ``line_bytes`` and
 ``n_sets`` are validated as powers of two at :class:`CacheConfig`
-construction, so the per-reference hot path (``access``) is a single dict
-pop/insert with precomputed shifts — no division, no separate
-``state_of``/``touch`` round trips.
+construction.  The per-reference hit/miss decision lives in one place, the
+CPU's hit loop (:meth:`repro.processor.cpu.CPU._loop`), which reads the set
+table directly: one dict pop/insert with precomputed shifts.
 
-Sets are created on first touch: a 1 MB two-way cache has 4,096 sets, and
-a run reaches only the ones its working set maps to.
+Sets are created on first fill: a 1 MB two-way cache has 4,096 sets, and a
+run reaches only the ones its working set maps to.  Readers look a set up
+with ``_sets.get(index, _EMPTY_SET)``, so a query never creates one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Container, Dict, Iterator, Optional, Tuple
 
 from ..common.errors import ConfigError
 from ..common.params import CacheConfig
@@ -88,14 +89,9 @@ class CacheStats:
         return self
 
 
-class _LazySets(dict):
-    """Set index -> that set's ``{tag: state}`` dict, made on first lookup."""
-
-    __slots__ = ()
-
-    def __missing__(self, index: int) -> Dict[int, str]:
-        cache_set = self[index] = {}
-        return cache_set
+#: Stand-in for a set no fill has reached.  Shared by every cache and never
+#: written: readers only pop from it (a miss) or test membership.
+_EMPTY_SET: Dict[int, str] = {}
 
 
 class SetAssocCache:
@@ -123,8 +119,8 @@ class SetAssocCache:
         #: the stride between two addresses that share a set index.
         self.set_span = self.line_bytes * self.n_sets
         # Set index -> {tag: state} in insertion order, so the first key is
-        # the LRU line and the last the MRU one.  Untouched sets do not exist.
-        self._sets: Dict[int, Dict[int, str]] = _LazySets()
+        # the LRU line and the last the MRU one.  Unfilled sets do not exist.
+        self._sets: Dict[int, Dict[int, str]] = {}
         self.stats = CacheStats()
 
     # -- address helpers ------------------------------------------------------
@@ -142,87 +138,63 @@ class SetAssocCache:
 
     def state_of(self, line_addr: int) -> str:
         """Current state of the line; INVALID when absent."""
-        cache_set = self._sets[(line_addr >> self.line_shift) & self.set_mask]
+        cache_set = self._sets.get(
+            (line_addr >> self.line_shift) & self.set_mask, _EMPTY_SET)
         return cache_set.get(line_addr >> self.tag_shift, CacheState.INVALID)
-
-    def contains(self, line_addr: int) -> bool:
-        return self.state_of(line_addr) != CacheState.INVALID
-
-    def lines_in_set(self, line_addr: int) -> List[int]:
-        """Line addresses resident in the set that ``line_addr`` maps to."""
-        index = (line_addr >> self.line_shift) & self.set_mask
-        base = index << self.line_shift
-        span = self.set_span
-        return [tag * span + base for tag in self._sets[index]]
-
-    def set_is_full(self, line_addr: int) -> bool:
-        index = (line_addr >> self.line_shift) & self.set_mask
-        return len(self._sets[index]) >= self.associativity
 
     # -- mutation ----------------------------------------------------------------
 
     def touch(self, line_addr: int) -> None:
         """Mark the line MRU (it must be present)."""
-        cache_set = self._sets[(line_addr >> self.line_shift) & self.set_mask]
+        cache_set = self._sets.get(
+            (line_addr >> self.line_shift) & self.set_mask, _EMPTY_SET)
         tag = line_addr >> self.tag_shift
         state = cache_set.pop(tag)
         cache_set[tag] = state  # re-insert at MRU position (dicts are ordered)
-
-    def access(self, line_addr: int, is_write: bool) -> str:
-        """Look up a CPU reference: updates LRU and hit/miss statistics.
-
-        Returns the *pre-access* state.  A write to a SHARED line is counted
-        as a write miss (it needs an upgrade); the caller performs the
-        coherence action and then updates the state.
-
-        State lookup, LRU update and statistics are fused into one dict
-        pop/insert — this is the per-reference fast path.
-        """
-        cache_set = self._sets[(line_addr >> self.line_shift) & self.set_mask]
-        tag = line_addr >> self.tag_shift
-        state = cache_set.pop(tag, None)
-        stats = self.stats
-        if state is None:
-            if is_write:
-                stats.write_misses += 1
-            else:
-                stats.read_misses += 1
-            return CacheState.INVALID
-        cache_set[tag] = state  # MRU
-        if not is_write:
-            stats.read_hits += 1
-        elif state == CacheState.SHARED:
-            stats.write_misses += 1  # upgrade required
-        else:
-            stats.write_hits += 1
-        return state
 
     def rmw_touch(self, line_addr: int) -> bool:
         """Fused hit path of a read-modify-write (the MDC's access pattern):
         if the line is resident, mark it MRU and DIRTY in one dict operation.
         Returns True on a hit; a miss leaves the cache untouched (the caller
         fills).  No statistics are updated (the MDC keeps its own)."""
-        cache_set = self._sets[(line_addr >> self.line_shift) & self.set_mask]
+        cache_set = self._sets.get(
+            (line_addr >> self.line_shift) & self.set_mask, _EMPTY_SET)
         tag = line_addr >> self.tag_shift
         if cache_set.pop(tag, None) is None:
             return False
         cache_set[tag] = CacheState.DIRTY
         return True
 
-    def fill(self, line_addr: int, state: str) -> Optional[Tuple[int, str]]:
+    def fill(
+        self, line_addr: int, state: str, pinned: Container[int] = (),
+    ) -> Optional[Tuple[int, str]]:
         """Install a line; returns ``(victim_line_addr, victim_state)`` if a
-        resident line had to be evicted, else None."""
+        resident line had to be evicted, else None.
+
+        The victim is the least recently used line whose address is not in
+        ``pinned``.  When every resident line of a full set is pinned, the
+        arriving line is not installed and comes back as its own victim
+        (uncounted: nothing resident left)."""
         index = (line_addr >> self.line_shift) & self.set_mask
         tag = line_addr >> self.tag_shift
-        cache_set = self._sets[index]
+        sets = self._sets
+        cache_set = sets.get(index)
+        if cache_set is None:
+            cache_set = sets[index] = {}
         victim: Optional[Tuple[int, str]] = None
         if (
             cache_set.pop(tag, None) is None
             and len(cache_set) >= self.associativity
         ):
-            victim_tag = next(iter(cache_set))  # LRU = oldest insertion
+            span = self.set_span
+            base = index << self.line_shift
+            for victim_tag in cache_set:  # LRU = oldest insertion
+                victim_addr = victim_tag * span + base
+                if victim_addr not in pinned:
+                    break
+            else:
+                return line_addr, state
             victim_state = cache_set.pop(victim_tag)
-            victim_addr = victim_tag * self.set_span + (index << self.line_shift)
             if victim_state == CacheState.DIRTY:
                 self.stats.evictions_dirty += 1
             else:
@@ -233,7 +205,8 @@ class SetAssocCache:
 
     def set_state(self, line_addr: int, state: str) -> None:
         """Change the state of a resident line (no LRU update)."""
-        cache_set = self._sets[(line_addr >> self.line_shift) & self.set_mask]
+        cache_set = self._sets.get(
+            (line_addr >> self.line_shift) & self.set_mask, _EMPTY_SET)
         tag = line_addr >> self.tag_shift
         if tag not in cache_set:
             raise KeyError(f"line {line_addr:#x} not resident in {self.name}")
@@ -241,7 +214,8 @@ class SetAssocCache:
 
     def invalidate(self, line_addr: int) -> str:
         """Remove a line (external invalidation); returns its prior state."""
-        cache_set = self._sets[(line_addr >> self.line_shift) & self.set_mask]
+        cache_set = self._sets.get(
+            (line_addr >> self.line_shift) & self.set_mask, _EMPTY_SET)
         prior = cache_set.pop(line_addr >> self.tag_shift, CacheState.INVALID)
         if prior != CacheState.INVALID:
             self.stats.invalidations_received += 1

@@ -24,11 +24,16 @@ On top of the propagation the oracle asserts, at every retiring access:
   line in any valid state (all invalidation acks are collected before an
   exclusive grant is delivered, so a surviving copy is a protocol bug);
 * **no conflicting fill** — a shared (PUT) fill while another cache holds
-  the line modified means the home replied with stale memory data.
+  the line modified means the home replied with stale memory data;
+* **no hint from the owner** — checked at the home, not at an access: a
+  replacement hint from the node the directory records as the line's
+  dirty owner is stale (the per-entry ``owner()`` invariant).
 
 Attaching the oracle is free when unused: every hook sits behind an
-``is None`` test on attributes that default to ``None``, and checked runs
-are timing-identical to unchecked ones (the oracle only observes).
+``is None`` test on attributes that default to ``None``.  Checked runs
+execute the same code as unchecked ones — the CPU's one hit loop
+(:meth:`repro.processor.cpu.CPU._loop`) calls the read/write hooks itself —
+and are timing-identical to them (the oracle only observes).
 """
 
 from __future__ import annotations
@@ -85,9 +90,7 @@ class CoherenceOracle:
         completed episode runs the quiesce-point invariant walk."""
         for node in machine.nodes:
             node.engine.checker = self
-            cpu = node.cpu
-            cpu.oracle = self
-            cpu._loop_cb = cpu._loop_checked
+            node.cpu.oracle = self
         sync = machine.sync
         inner_barrier = sync.barrier
         oracle = self
@@ -239,6 +242,19 @@ class CoherenceOracle:
         version = self.copy.pop((node, line), None)
         if mtype == MT.WRITEBACK and version is not None:
             self.msgval[message.uid] = version
+
+    # -- home-side directory checks ----------------------------------------------
+
+    def on_owner_hint(self, home: int, message) -> None:
+        """The home got (or is about to defer) a replacement hint from the
+        node its directory records as the line's dirty owner.  A dirty
+        owner evicts with a WRITEBACK; a hint from it left while the node
+        still held a shared copy, before the grant, and replaying it would
+        drop a live owner or sharer from the directory."""
+        self._fail(
+            f"replacement hint from the dirty owner: home {home} records "
+            f"node {message.requester} as owner", message.line_addr,
+            extra={"hint_from": message.requester})
 
     # -- quiesce points ----------------------------------------------------------
 

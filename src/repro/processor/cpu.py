@@ -40,7 +40,9 @@ as a bare callback — on a miss, an MSHR hit, a sync op, a block transfer, or
 quantum expiry.  The kernel sees misses, not references, and no generator
 frame exists at all between them.  Dispatch order (and therefore every
 simulated result) is identical to the original coroutine form; see DESIGN.md
-"Performance engineering".
+"Performance engineering".  It is the one hit/miss path: model-checked runs
+(:mod:`repro.check`) execute it too, reporting each retiring reference to
+the attached oracle behind an ``is not None`` test.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Tuple
 
 from ..caches.mshr import MSHRFile
-from ..caches.setassoc import CacheState, SetAssocCache
+from ..caches.setassoc import _EMPTY_SET, CacheState, SetAssocCache
 from ..common.errors import WorkloadError
 from ..common.params import MachineConfig
 from ..common.units import CACHE_LINE_BYTES, line_address
@@ -96,6 +98,9 @@ class CPU:
         self.total_reads = 0
         self.total_writes = 0
         self.read_merges = 0
+        # Fills not kept because every way of their set held a line with an
+        # outstanding upgrade (see ``deliver``).
+        self.unkept_fills = 0
         controller.set_cpu_deliver(self.deliver)
         controller.set_cache_busy(self.note_cache_busy)
         self.transfers = getattr(controller, "transfers", None)
@@ -104,8 +109,8 @@ class CPU:
         # open-loop runs; every hook below is gated on ``is not None``.
         self.loadlat = None
         # CoherenceOracle (repro.check), attached by the model checker; when
-        # set, ``_loop_cb`` is rebound to the instrumented loop twin and the
-        # deliver/invalidate/evict hooks below feed the shadow value model.
+        # set, ``_loop`` and the wake-up, deliver, invalidate and evict hooks
+        # below feed the shadow value model, each behind ``is not None``.
         self.oracle = None
         self._done = Event(env)
         # Execution state machine: one logical thread, so everything the old
@@ -188,8 +193,17 @@ class CPU:
             self.tracer.txn_retire(self.node_id, line, self.env.now)
         entry = self.mshrs.complete(line)
         state = CacheState.SHARED if message.mtype == MT.PUT else CacheState.DIRTY
-        victim = self.cache.fill(line, state)
-        if entry.invalidate_on_fill:
+        # A resident line with an MSHR entry has an upgrade in flight: it is
+        # never the victim, or its replacement hint would reach the home
+        # after the grant, from the owner the directory just recorded.  When
+        # every way holds such a line, the arriving line is consumed by its
+        # waiters and leaves at once, as its own victim.
+        victim = self.cache.fill(line, state, self.mshrs.entries)
+        if victim is not None and victim[0] == line:
+            self.unkept_fills += 1
+            if entry.invalidate_on_fill:
+                victim = None  # the home already dropped this copy
+        elif entry.invalidate_on_fill:
             # The data is still consumed by the waiting reference(s); the
             # line just does not stay resident.
             self.cache.invalidate(line)
@@ -224,9 +238,15 @@ class CPU:
         # bindings, hit/miss decision as one dict pop/insert, time charged in
         # bulk through ``batched`` — and control only returns to the event
         # kernel on a miss, an MSHR hit, a sync op, a block transfer, or
-        # quantum expiry.  The kernel sees misses, not references.
+        # quantum expiry.  The kernel sees misses, not references.  With a
+        # CoherenceOracle attached the same loop reports each retiring
+        # reference to it (reads that hit observe here, reads that miss or
+        # merge at their wake-up sites; writes queue or perform here).
+        oracle = self.oracle
+        node_id = self.node_id
         cache = self.cache
-        sets = cache._sets
+        sets_get = cache._sets.get
+        empty = _EMPTY_SET
         line_shift = cache.line_shift
         tag_shift = cache.tag_shift
         set_mask = cache.set_mask
@@ -255,7 +275,7 @@ class CPU:
                     self._miss_line = line
                     flush_then(self._rmerge_after_flush_cb)
                     return
-                cache_set = sets[(line >> line_shift) & set_mask]
+                cache_set = sets_get((line >> line_shift) & set_mask, empty)
                 tag = line >> tag_shift
                 state = cache_set.pop(tag, None)
                 if state is None:
@@ -268,6 +288,8 @@ class CPU:
                     return
                 cache_set[tag] = state  # MRU
                 stats.read_hits += k
+                if oracle is not None:
+                    oracle.on_read(node_id, line)
                 if batched >= quantum:
                     self._batched = batched
                     flush_then(self._loop_cb)
@@ -285,8 +307,10 @@ class CPU:
                         stats.write_hits += k - 1
                     if not entry.is_write:
                         entry.needs_upgrade = True
+                    if oracle is not None:
+                        oracle.on_write_queued(node_id, line)
                     continue
-                cache_set = sets[(line >> line_shift) & set_mask]
+                cache_set = sets_get((line >> line_shift) & set_mask, empty)
                 tag = line >> tag_shift
                 state = cache_set.pop(tag, None)
                 if state is None:
@@ -296,6 +320,8 @@ class CPU:
                     self._batched = batched
                     self._miss_line = line
                     self._miss_state = CacheState.INVALID
+                    if oracle is not None:
+                        oracle.on_write_queued(node_id, line)
                     flush_then(self._write_miss_begin_cb)
                     return
                 elif state == SHARED:
@@ -306,160 +332,15 @@ class CPU:
                     self._batched = batched
                     self._miss_line = line
                     self._miss_state = SHARED
+                    if oracle is not None:
+                        oracle.on_write_queued(node_id, line)
                     flush_then(self._write_miss_begin_cb)
                     return
                 else:
                     cache_set[tag] = state  # MRU
                     stats.write_hits += k
-                    if batched >= quantum:
-                        self._batched = batched
-                        flush_then(self._loop_cb)
-                        return
-            elif kind == "c":
-                batched += op[1]
-                if batched >= quantum:
-                    self._batched = batched
-                    flush_then(self._loop_cb)
-                    return
-            elif kind == "b":
-                self._batched = batched
-                self._op_arg = op[1]
-                flush_then(self._barrier_fence_cb)
-                return
-            elif kind == "l":
-                self._batched = batched
-                self._op_arg = op[1]
-                flush_then(self._lock_begin_cb)
-                return
-            elif kind == "u":
-                self._batched = batched
-                self._op_arg = op[1]
-                flush_then(self._unlock_fence_cb)
-                return
-            elif kind == "s":
-                self._batched = batched
-                self._op = op
-                flush_then(self._send_begin_cb)
-                return
-            elif kind == "v":
-                self._batched = batched
-                self._op_arg = op[1]
-                flush_then(self._recv_begin_cb)
-                return
-            elif kind == "q":
-                self._batched = batched
-                self._op = op
-                flush_then(self._req_begin_cb)
-                return
-            elif kind == "e":
-                self._batched = batched
-                flush_then(self._req_end_fence_cb)
-                return
-            else:
-                raise WorkloadError(f"unknown operation {op!r}")
-        self._batched = batched
-        flush_then(self._finish_cb)
-
-    def _loop_checked(self) -> None:
-        # Oracle-instrumented twin of :meth:`_loop` — the identical state
-        # machine and time accounting, plus a shadow-model observation per
-        # retiring reference (reads that hit observe here; reads that miss
-        # or merge observe at their wake-up sites; writes queue or perform
-        # here).  The oracle only observes, so dispatch order and simulated
-        # results match the uninstrumented loop exactly; the golden matrix
-        # never runs with an oracle attached, so the two copies only need
-        # to stay semantically in sync.
-        oracle = self.oracle
-        node_id = self.node_id
-        cache = self.cache
-        sets = cache._sets
-        line_shift = cache.line_shift
-        tag_shift = cache.tag_shift
-        set_mask = cache.set_mask
-        stats = cache.stats
-        mshr_get = self.mshrs.entries.get
-        quantum = self.quantum
-        cpr = CYCLES_PER_REFERENCE
-        SHARED = CacheState.SHARED
-        flush_then = self._flush_then
-        batched = self._batched
-        for op in self._ops:
-            kind = op[0]
-            if kind == "r":
-                k = op[2] if len(op) > 2 else 1
-                self.total_reads += k
-                batched += cpr * k
-                line = op[1] & _LINE_MASK
-                entry = mshr_get(line)
-                if entry is not None:
-                    self.read_merges += 1
-                    if k > 1:
-                        stats.read_hits += k - 1
-                    self._batched = batched
-                    self._pending_entry = entry
-                    self._miss_line = line
-                    flush_then(self._rmerge_after_flush_cb)
-                    return
-                cache_set = sets[(line >> line_shift) & set_mask]
-                tag = line >> tag_shift
-                state = cache_set.pop(tag, None)
-                if state is None:
-                    stats.read_misses += 1
-                    if k > 1:
-                        stats.read_hits += k - 1
-                    self._batched = batched
-                    self._miss_line = line
-                    flush_then(self._read_miss_begin_cb)
-                    return
-                cache_set[tag] = state  # MRU
-                stats.read_hits += k
-                oracle.on_read(node_id, line)
-                if batched >= quantum:
-                    self._batched = batched
-                    flush_then(self._loop_cb)
-                    return
-            elif kind == "w":
-                k = op[2] if len(op) > 2 else 1
-                self.total_writes += k
-                batched += cpr * k
-                line = op[1] & _LINE_MASK
-                entry = mshr_get(line)
-                if entry is not None:
-                    self.mshrs.merge_write(line)
-                    if k > 1:
-                        stats.write_hits += k - 1
-                    if not entry.is_write:
-                        entry.needs_upgrade = True
-                    oracle.on_write_queued(node_id, line)
-                    continue
-                cache_set = sets[(line >> line_shift) & set_mask]
-                tag = line >> tag_shift
-                state = cache_set.pop(tag, None)
-                if state is None:
-                    stats.write_misses += 1
-                    if k > 1:
-                        stats.write_hits += k - 1
-                    self._batched = batched
-                    self._miss_line = line
-                    self._miss_state = CacheState.INVALID
-                    oracle.on_write_queued(node_id, line)
-                    flush_then(self._write_miss_begin_cb)
-                    return
-                elif state == SHARED:
-                    cache_set[tag] = state  # MRU; upgrade required
-                    stats.write_misses += 1
-                    if k > 1:
-                        stats.write_hits += k - 1
-                    self._batched = batched
-                    self._miss_line = line
-                    self._miss_state = SHARED
-                    oracle.on_write_queued(node_id, line)
-                    flush_then(self._write_miss_begin_cb)
-                    return
-                else:
-                    cache_set[tag] = state  # MRU
-                    stats.write_hits += k
-                    oracle.on_write_hit(node_id, line)
+                    if oracle is not None:
+                        oracle.on_write_hit(node_id, line)
                     if batched >= quantum:
                         self._batched = batched
                         flush_then(self._loop_cb)

@@ -455,6 +455,14 @@ class NodeProtocolEngine:
     def _home_hint(self, msg: Message) -> List[Action]:
         line = msg.line_addr
         entry = self.directory.entry(line)
+        if (
+            self.checker is not None
+            and entry.dirty
+            and entry.owner == msg.requester
+        ):
+            # The owner holds the line exclusively, so it cannot have
+            # evicted a shared copy since the grant: the hint is stale.
+            self.checker.on_owner_hint(self.node_id, msg)
         if entry.pending:
             entry.defer(msg)
             self.deferred_count += 1

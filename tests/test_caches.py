@@ -3,9 +3,10 @@
 import pytest
 
 from repro.caches.mshr import MSHRFile
-from repro.caches.setassoc import CacheState, SetAssocCache
-from repro.common.params import CacheConfig
+from repro.caches.setassoc import _EMPTY_SET, CacheState, SetAssocCache
+from repro.common.params import CacheConfig, flash_config
 from repro.common.errors import ConfigError
+from repro.machine import Machine
 
 KB = 1024
 LINE = 128
@@ -53,34 +54,35 @@ class TestGeometry:
         assert cache.tag_of(a) != cache.tag_of(b)
 
 
+def run_ops(ops):
+    """Run ``ops`` on a one-node FLASH machine with a 4 KB cache: the CPU's
+    hit loop is the one place a reference decides hit or miss."""
+    machine = Machine(flash_config(n_procs=1, cache_size=4 * KB))
+    machine.run([iter(ops)])
+    return machine.nodes[0].cpu.cache
+
+
 class TestAccess:
     def test_cold_miss_then_hit(self):
-        cache = make_cache()
-        assert cache.access(0, is_write=False) == CacheState.INVALID
-        cache.fill(0, CacheState.SHARED)
-        assert cache.access(0, is_write=False) == CacheState.SHARED
+        cache = run_ops([("r", 0), ("r", 8)])
         assert cache.stats.read_misses == 1
         assert cache.stats.read_hits == 1
+        assert cache.state_of(0) == CacheState.SHARED
 
     def test_write_to_shared_counts_as_miss(self):
         """A write to a SHARED line needs an upgrade (Section 3.2)."""
-        cache = make_cache()
-        cache.fill(0, CacheState.SHARED)
-        assert cache.access(0, is_write=True) == CacheState.SHARED
+        cache = run_ops([("r", 0), ("w", 8), ("c", 500)])
         assert cache.stats.write_misses == 1
+        assert cache.stats.write_hits == 0
+        assert cache.state_of(0) == CacheState.DIRTY
 
     def test_write_to_dirty_hits(self):
-        cache = make_cache()
-        cache.fill(0, CacheState.DIRTY)
-        assert cache.access(0, is_write=True) == CacheState.DIRTY
+        cache = run_ops([("w", 0), ("c", 500), ("w", 8)])
+        assert cache.stats.write_misses == 1
         assert cache.stats.write_hits == 1
 
     def test_miss_rate(self):
-        cache = make_cache()
-        cache.access(0, is_write=False)
-        cache.fill(0, CacheState.SHARED)
-        for _ in range(9):
-            cache.access(0, is_write=False)
+        cache = run_ops([("r", 0)] + [("r", 8)] * 9)
         assert cache.stats.miss_rate == pytest.approx(0.1)
 
 
@@ -110,6 +112,25 @@ class TestReplacement:
         cache.fill(span, CacheState.SHARED)
         cache.fill(2 * span, CacheState.SHARED)
         assert cache.stats.evictions_dirty == 1
+
+    def test_pinned_line_is_never_the_victim(self):
+        cache = make_cache(size=4 * KB, assoc=2)
+        span = LINE * cache.n_sets
+        cache.fill(0, CacheState.SHARED)
+        cache.fill(span, CacheState.SHARED)
+        victim = cache.fill(2 * span, CacheState.SHARED, pinned={0})
+        assert victim == (span, CacheState.SHARED)
+        assert cache.state_of(0) == CacheState.SHARED
+
+    def test_all_ways_pinned_leaves_the_set_alone(self):
+        """The arriving line comes back as its own victim, uncounted."""
+        cache = make_cache(size=4 * KB, assoc=1)
+        span = LINE * cache.n_sets
+        cache.fill(0, CacheState.SHARED)
+        victim = cache.fill(span, CacheState.DIRTY, pinned={0})
+        assert victim == (span, CacheState.DIRTY)
+        assert dict(cache.resident_lines()) == {0: CacheState.SHARED}
+        assert cache.stats.evictions_clean == cache.stats.evictions_dirty == 0
 
     def test_refill_resident_line_no_eviction(self):
         cache = make_cache()
@@ -149,6 +170,24 @@ class TestCoherenceOps:
         resident = dict(cache.resident_lines())
         assert resident == {0: CacheState.SHARED, LINE: CacheState.DIRTY}
         assert cache.occupancy() == 2
+
+
+def test_queries_create_no_sets():
+    """Only a fill makes a set; lookups of unfilled sets read the shared,
+    never-written empty set."""
+    cache = make_cache()
+    cache.fill(0, CacheState.SHARED)
+    other = 3 * LINE
+    assert cache.state_of(other) == CacheState.INVALID
+    assert cache.invalidate(other) == CacheState.INVALID
+    assert not cache.rmw_touch(other)
+    with pytest.raises(KeyError):
+        cache.set_state(other, CacheState.DIRTY)
+    with pytest.raises(KeyError):
+        cache.touch(other)
+    assert len(cache._sets) == 1
+    assert cache.occupancy() == 1
+    assert _EMPTY_SET == {}
 
 
 class TestMSHR:

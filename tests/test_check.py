@@ -19,6 +19,10 @@ from repro.check import (
 from repro.check.oracle import CoherenceOracle
 from repro.check.workload import _build_machine, _workload
 from repro.common.errors import CoherenceViolation
+from repro.common.params import flash_config
+from repro.machine import Machine
+from repro.protocol.coherence import Handler
+from repro.protocol.messages import Message, MessageType as MT
 
 MUTATIONS = ("drop_sharer", "stale_reply", "skip_inval", "no_ack")
 
@@ -42,17 +46,15 @@ class TestCleanMatrix:
         assert report.checked_ops > 200
 
 
-class TestKnownSWMRViolation:
-    """A 16-node contended flash run breaks SWMR at an exclusive fill (a
-    writer's fill lands while another node still holds the line shared);
-    the same traffic on the ideal machine passes.  Pinned here so a
-    protocol fix flips the xfail loudly."""
+class TestUpgradeEvictionRace:
+    """A 16-node contended flash run once broke SWMR at an exclusive fill
+    (race A): a fill evicted a shared line whose upgrade was in flight,
+    and the stale replacement hint later dropped the new owner's shared
+    copy from the directory.  The CPU now never evicts a line with an MSHR
+    entry; both machines pass the same traffic."""
 
     SPEC = CheckSpec(seed=0, ops=1000, nodes=16, lines=64)
 
-    @pytest.mark.xfail(strict=True,
-                       reason="known flash SWMR violation at an exclusive"
-                              " fill")
     def test_flash(self):
         report = run_check(self.SPEC)
         assert report.ok, report.error
@@ -62,24 +64,64 @@ class TestKnownSWMRViolation:
         assert report.ok, report.error
 
 
+class TestOwnerHintAssertion:
+    """Checked runs reject a replacement hint from the dirty owner the
+    home's directory records (the directory entry's ``owner()``
+    invariant): that hint is the trace race A leaves."""
+
+    LINE = 0x200  # homed at node 0
+
+    def _machine(self):
+        machine = Machine(flash_config(n_procs=4))
+        CoherenceOracle(machine).attach(machine)
+        return machine
+
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_hint_from_owner_raises(self, pending):
+        machine = self._machine()
+        engine = machine.nodes[0].engine
+        machine.nodes[0].directory.set_dirty(self.LINE, owner=2)
+        if pending:
+            # A forwarded GET makes the line pending: the hint would defer.
+            engine.process(Message(MT.REMOTE_GET, self.LINE, 3, 0, 3))
+        with pytest.raises(CoherenceViolation, match="dirty owner"):
+            engine.process(Message(MT.REMOTE_REPL_HINT, self.LINE, 2, 0, 2))
+
+    def test_hint_from_sharer_passes(self):
+        machine = self._machine()
+        engine = machine.nodes[0].engine
+        machine.nodes[0].directory.add_sharer(self.LINE, 2)
+        actions = engine.process(
+            Message(MT.REMOTE_REPL_HINT, self.LINE, 2, 0, 2))
+        assert [a.handler for a in actions] == [Handler.HINT_REMOTE]
+
+
 class TestObserverPurity:
     """Attaching the oracle must not change simulated behaviour."""
 
     def test_checked_run_timing_identical(self):
-        spec = CheckSpec(seed=2, ops=150, nodes=4)
+        for kind in ("flash", "ideal"):
+            spec = CheckSpec(seed=2, ops=150, nodes=4, kind=kind)
 
-        plain = _build_machine(spec)
-        plain_result = plain.run(_workload(spec).build(plain.config))
+            plain = _build_machine(spec)
+            plain_result = plain.run(_workload(spec).build(plain.config))
 
-        checked = _build_machine(spec)
-        oracle = CoherenceOracle(checked)
-        oracle.attach(checked)
-        checked_result = checked.run(_workload(spec).build(checked.config))
+            checked = _build_machine(spec)
+            oracle = CoherenceOracle(checked)
+            oracle.attach(checked)
+            checked_result = checked.run(
+                _workload(spec).build(checked.config))
 
-        assert checked_result.execution_time == plain_result.execution_time
-        assert checked_result.total_reads == plain_result.total_reads
-        assert checked_result.total_writes == plain_result.total_writes
-        assert oracle.checked_ops > 0
+            assert checked_result.to_dict() == plain_result.to_dict(), kind
+            # One check per retiring memory op: each read op observes once
+            # (hit, miss or merge; its k same-line words share the
+            # observation) and each write op performs exactly once (at the
+            # hit, or at the exclusive fill it queued behind).
+            memory_ops = sum(
+                op[0] in "rw"
+                for stream in _workload(spec).build(checked.config)
+                for op in stream)
+            assert oracle.checked_ops == memory_ops, kind
 
 
 class TestMutationsCaught:

@@ -4,8 +4,9 @@ import pytest
 
 from repro.caches.setassoc import CacheState
 from repro.common.errors import WorkloadError
-from repro.common.params import flash_config, ideal_config
+from repro.common.params import CacheConfig, flash_config, ideal_config
 from repro.machine import Machine
+from repro.protocol.messages import Message, MessageType as MT
 
 KB = 1024
 LINE = 128
@@ -127,6 +128,50 @@ class TestEvictions:
         )
         node = machine.nodes[0]
         assert 0 not in node.directory.sharers(0)
+
+
+class TestUpgradeInFlight:
+    """A fill never evicts a resident line with an outstanding upgrade: the
+    eviction's replacement hint would reach the home after the grant, from
+    the node the directory now records as owner (race A)."""
+
+    def _cpu(self, associativity):
+        config = flash_config(n_procs=2, cache_size=4 * KB).with_changes(
+            proc_cache=CacheConfig(size_bytes=4 * KB,
+                                   associativity=associativity))
+        cpu = Machine(config).nodes[0].cpu
+        posted = []
+        cpu._post_eviction = posted.append
+        return cpu, LINE * cpu.cache.n_sets, posted
+
+    def _fill(self, cpu, line, mtype=MT.PUT):
+        cpu.mshrs.allocate(line, mtype != MT.PUT, 0.0)
+        cpu.deliver(Message(mtype, line, 0, 0, 0))
+
+    def test_upgrading_line_skipped_as_victim(self):
+        cpu, span, posted = self._cpu(associativity=2)
+        cpu.cache.fill(0, CacheState.SHARED)      # LRU, upgrade in flight
+        cpu.cache.fill(span, CacheState.SHARED)
+        cpu.mshrs.allocate(0, True, 0.0)
+        self._fill(cpu, 2 * span)
+        assert posted == [(span, CacheState.SHARED)]
+        assert cpu.cache.state_of(0) == CacheState.SHARED
+        assert cpu.cache.state_of(2 * span) == CacheState.SHARED
+        assert cpu.unkept_fills == 0
+
+    @pytest.mark.parametrize("mtype, state", [
+        (MT.PUT, CacheState.SHARED), (MT.PUTX, CacheState.DIRTY)])
+    def test_every_way_upgrading_leaves_the_fill_unkept(self, mtype, state):
+        """Direct-mapped: the arriving line serves its waiters, then leaves
+        as its own victim (a hint, or a writeback of the new data)."""
+        cpu, span, posted = self._cpu(associativity=1)
+        cpu.cache.fill(0, CacheState.SHARED)
+        cpu.mshrs.allocate(0, True, 0.0)
+        self._fill(cpu, span, mtype)
+        assert posted == [(span, state)]
+        assert cpu.cache.state_of(0) == CacheState.SHARED
+        assert cpu.cache.state_of(span) == CacheState.INVALID
+        assert cpu.unkept_fills == 1
 
 
 class TestSyncOps:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.caches.setassoc import CacheState
+from repro.caches.setassoc import _EMPTY_SET, CacheState
 from repro.common.params import MagicCacheConfig, flash_config, ideal_config
 from repro.machine import Machine
 
@@ -221,6 +221,9 @@ class TestGoldenHashes:
         assert digest == self.GOLDEN[combo], (
             f"{combo}: simulation output drifted from the golden hash -- "
             "an optimization changed observable behavior")
+        # Every cache shares one stand-in for its unfilled sets; a write to
+        # it would leak lines between caches.
+        assert _EMPTY_SET == {}
 
     #: The observed path: mp3d with tracer and metrics registry attached.
     #: ``result`` hashes the full ``RunResult`` JSON (latency decomposition,

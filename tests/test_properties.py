@@ -453,29 +453,15 @@ class _EagerCache:
     def _set(self, line):
         return self.sets[(line // self.line_bytes) % len(self.sets)]
 
-    def access(self, line, is_write):
-        cache_set = self._set(line)
-        state = cache_set.pop(line, None)
-        if state is None:
-            if is_write:
-                self.stats.write_misses += 1
-            else:
-                self.stats.read_misses += 1
-            return CacheState.INVALID
-        cache_set[line] = state
-        if not is_write:
-            self.stats.read_hits += 1
-        elif state == CacheState.SHARED:
-            self.stats.write_misses += 1
-        else:
-            self.stats.write_hits += 1
-        return state
-
-    def fill(self, line, state):
+    def fill(self, line, state, pinned=()):
         cache_set = self._set(line)
         victim = None
         if cache_set.pop(line, None) is None and len(cache_set) >= self.ways:
-            victim = next(iter(cache_set.items()))
+            unpinned = [item for item in cache_set.items()
+                        if item[0] not in pinned]
+            if not unpinned:
+                return line, state
+            victim = unpinned[0]
             del cache_set[victim[0]]
             if victim[1] == CacheState.DIRTY:
                 self.stats.evictions_dirty += 1
@@ -501,17 +487,14 @@ class _EagerCache:
             raise KeyError(line)
         cache_set[line] = state
 
+    def state_of(self, line):
+        return self._set(line).get(line, CacheState.INVALID)
+
     def invalidate(self, line):
         prior = self._set(line).pop(line, CacheState.INVALID)
         if prior != CacheState.INVALID:
             self.stats.invalidations_received += 1
         return prior
-
-    def lines_in_set(self, line):
-        return list(self._set(line))
-
-    def set_is_full(self, line):
-        return len(self._set(line)) >= self.ways
 
     def resident_lines(self):
         return [item for cache_set in self.sets for item in cache_set.items()]
@@ -526,8 +509,10 @@ _STATES = [CacheState.SHARED, CacheState.DIRTY]
 def _cache_call(cache, op, line, arg):
     """One operation's outcome: its return value, or the exception type."""
     try:
-        if op in ("access", "fill", "set_state"):
-            return getattr(cache, op)(line, arg)
+        if op == "fill":
+            return cache.fill(line, *arg)
+        if op == "set_state":
+            return cache.set_state(line, arg)
         return getattr(cache, op)(line)
     except KeyError:
         return KeyError
@@ -542,26 +527,36 @@ def _cache_call(cache, op, line, arg):
 ])
 @pytest.mark.parametrize("seed", range(4))
 def test_lazy_cache_sets_match_eager_sets(seed, size, ways, line_bytes):
-    """Sets made on first touch give the same hits, victims, states, stats
-    and resident-line order as every set made up front."""
+    """Sets made on first fill give the same hits, victims, states, stats
+    and resident-line order as every set made up front, and no query makes
+    a set."""
     config = CacheConfig(size_bytes=size, associativity=ways,
                          line_bytes=line_bytes)
     rng = random.Random(seed)
     lazy = SetAssocCache(config)
     eager = _EagerCache(config)
-    ops = ["access", "fill", "touch", "rmw_touch", "set_state",
-           "invalidate", "lines_in_set", "set_is_full"]
+    ops = ["fill", "touch", "rmw_touch", "set_state", "invalidate",
+           "state_of"]
     # Three times as many lines as the cache holds: sets overflow and evict.
     n_lines = config.n_sets * ways * 3
+    filled = set()
     for _ in range(600):
         op = rng.choice(ops)
         line = rng.randrange(n_lines) * line_bytes
-        arg = rng.random() < 0.5 if op == "access" else rng.choice(_STATES)
+        arg = rng.choice(_STATES)
+        if op == "fill":
+            # Lines the caller pins (the CPU pins its MSHR lines) are never
+            # the victim.
+            pinned = {rng.randrange(n_lines) * line_bytes
+                      for _ in range(rng.randrange(3))}
+            arg = (arg, pinned)
+            filled.add(lazy.set_index(line))
         got = _cache_call(lazy, op, line, arg)
         assert got == _cache_call(eager, op, line, arg), (op, line)
         assert list(lazy.resident_lines()) == eager.resident_lines()
         assert lazy.occupancy() == eager.occupancy()
         assert lazy.stats.to_dict() == eager.stats.to_dict()
+        assert set(lazy._sets) <= filled
     stats = lazy.stats
     assert stats.evictions_clean + stats.evictions_dirty > 0
     assert len(lazy._sets) <= config.n_sets
