@@ -72,7 +72,7 @@ class CacheStats:
     # -- aggregation / serialization ------------------------------------------
 
     def to_dict(self) -> Dict[str, int]:
-        """Plain-dict counter snapshot (profile report, cache round-trips)."""
+        """Plain-dict counter snapshot."""
         return {slot: getattr(self, slot) for slot in self.__slots__}
 
     @classmethod
@@ -128,12 +128,6 @@ class SetAssocCache:
     def line_address(self, address: int) -> int:
         return (address >> self.line_shift) << self.line_shift
 
-    def set_index(self, line_addr: int) -> int:
-        return (line_addr >> self.line_shift) & self.set_mask
-
-    def tag_of(self, line_addr: int) -> int:
-        return line_addr >> self.tag_shift
-
     # -- state queries ---------------------------------------------------------
 
     def state_of(self, line_addr: int) -> str:
@@ -143,14 +137,6 @@ class SetAssocCache:
         return cache_set.get(line_addr >> self.tag_shift, CacheState.INVALID)
 
     # -- mutation ----------------------------------------------------------------
-
-    def touch(self, line_addr: int) -> None:
-        """Mark the line MRU (it must be present)."""
-        cache_set = self._sets.get(
-            (line_addr >> self.line_shift) & self.set_mask, _EMPTY_SET)
-        tag = line_addr >> self.tag_shift
-        state = cache_set.pop(tag)
-        cache_set[tag] = state  # re-insert at MRU position (dicts are ordered)
 
     def rmw_touch(self, line_addr: int) -> bool:
         """Fused hit path of a read-modify-write (the MDC's access pattern):
@@ -232,6 +218,3 @@ class SetAssocCache:
             base = index << shift
             for tag, state in cache_set.items():
                 yield tag * span + base, state
-
-    def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets.values())

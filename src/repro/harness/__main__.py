@@ -8,8 +8,6 @@ Usage::
     python -m repro.harness run mp3d --regime small --procs 16
     python -m repro.harness suite                # Figure 4.1 sweep
     python -m repro.harness --jobs 4 suite       # ... farmed over 4 workers
-    python -m repro.harness profile mp3d         # per-subsystem time attribution
-    python -m repro.harness profile mp3d --json  # ... machine-readable
     python -m repro.harness trace fft --summary  # latency decomposition table
     python -m repro.harness trace fft --out fft.json   # Chrome trace_event JSON
     python -m repro.harness whatif fft --fast    # causal profile: scale handler
@@ -115,58 +113,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_profile(args) -> int:
-    """Profile one uncached run and attribute time per subsystem."""
-    import cProfile
-    import json
-    import time
-
-    from . import experiments
-    from ..stats.report import attribute_profile, render_profile
-
-    overrides = envopts.smoke_overrides(args.app, args.fast)
-    spec = experiments.normalize_spec(
-        args.app, kind=args.kind, regime=args.regime, n_procs=args.procs,
-        workload_overrides=overrides)
-    profile = cProfile.Profile()
-    start = time.perf_counter()
-    profile.enable()
-    result = experiments._execute(spec)  # bypass memo + disk cache
-    profile.disable()
-    elapsed = time.perf_counter() - start
-    attribution = attribute_profile(profile)
-    if args.json:
-        print(json.dumps({
-            "app": args.app,
-            "kind": args.kind,
-            "regime": args.regime,
-            "references": result.references,
-            "elapsed_seconds": elapsed,
-            "references_per_second": result.references / elapsed,
-            "total_seconds": attribution["total"],
-            "subsystems": attribution["subsystems"],
-            "top": {
-                label: [
-                    {"where": where, "seconds": tt, "calls": nc}
-                    for where, tt, nc in frames[:args.top]
-                ]
-                for label, frames in attribution["top"].items()
-            },
-            "cache_totals": result.cache_totals,
-        }, sort_keys=True, indent=2))
-    else:
-        title = (f"{args.app}/{args.kind} regime={args.regime} "
-                 f"({result.references} refs, {elapsed:.1f}s under cProfile)")
-        print(render_profile(attribution, title, top_n=args.top,
-                             cache_totals=result.cache_totals))
-        print(f"\nreferences/sec (profiled; cProfile adds ~2-3x overhead): "
-              f"{result.references / elapsed:,.0f}")
-    if args.pstats:
-        profile.dump_stats(args.pstats)
-        print(f"raw pstats written to {args.pstats}")
-    return 0
-
-
 def cmd_trace(args) -> int:
     """One traced (uncached) run: latency decomposition and/or Chrome JSON."""
     import json
@@ -260,9 +206,9 @@ def cmd_faults(args) -> int:
 
     A raising run (stall, protocol error, watchdog trip) becomes a FAILED
     row instead of sinking the sweep, and the command exits nonzero if any
-    swept rate failed; ``--json`` emits a machine-readable report shaped
-    like ``benchmarks/history.py --json`` (a ``record`` plus a ``status``)
-    for scripted robustness gates."""
+    swept rate failed; ``--json`` emits a machine-readable report (a
+    ``record`` of the swept rates, the ``failures`` and an ok/fail
+    ``status``) for scripted robustness gates."""
     import json
 
     rates = [float(r) for r in args.rates.split(",") if r.strip()]
@@ -403,7 +349,7 @@ def cmd_check(args) -> int:
         print(json.dumps(summary, sort_keys=True, indent=2))
     else:
         print(f"check: {summary['passed']}/{summary['total']} passed,"
-              f" {summary['checked_ops']} references checked,"
+              f" {summary['checked_ops']} ops checked,"
               f" {summary['quiesce_checks']} quiesce walks")
         for report in failed:
             print(f"\nFAIL {report.spec.describe()}")
@@ -616,22 +562,6 @@ def main(argv=None) -> int:
     suite = sub.add_parser("suite")
     suite.add_argument("--regime", default="large")
     suite.set_defaults(fn=cmd_suite)
-    profile = sub.add_parser(
-        "profile", help="cProfile one uncached run, attribute per subsystem")
-    profile.add_argument("app", choices=APP_ORDER)
-    profile.add_argument("--kind", default="flash", choices=["flash", "ideal"])
-    profile.add_argument("--regime", default="large",
-                         choices=["large", "medium", "small"])
-    profile.add_argument("--procs", type=int, default=None)
-    profile.add_argument("--fast", action="store_true",
-                         help="seconds-scale smoke problem sizes")
-    profile.add_argument("--top", type=int, default=3,
-                         help="hottest frames listed per subsystem")
-    profile.add_argument("--pstats", metavar="FILE", default=None,
-                         help="also dump raw pstats data to FILE")
-    profile.add_argument("--json", action="store_true",
-                         help="machine-readable attribution on stdout")
-    profile.set_defaults(fn=cmd_profile)
     trace = sub.add_parser(
         "trace", help="trace one run: latency decomposition, occupancy"
                       " timelines, Chrome trace_event JSON export")
@@ -674,7 +604,7 @@ def main(argv=None) -> int:
                         help="seconds-scale smoke problem sizes")
     faults.add_argument("--json", action="store_true",
                         help="machine-readable sweep report on stdout"
-                             " (record + status, like history.py --json)")
+                             " (record, failures and status)")
     faults.set_defaults(fn=cmd_faults)
     check = sub.add_parser(
         "check", help="coherence model checker: random traffic under"

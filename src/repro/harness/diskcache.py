@@ -147,15 +147,9 @@ class DiskCache:
             checksum = payload.get("checksum")
             if checksum is not None and checksum != _result_checksum(result_dict):
                 raise ValueError("checksum mismatch (corrupt or tampered entry)")
-            result = RunResult.from_dict(result_dict)
-            # Diagnostic extras ride alongside the canonical result (never
-            # inside it — the result's canonical JSON, and with it the
-            # golden-hash matrix, must not change).  Older entries without
-            # the key fall back to the class default (None).
-            extras = payload.get("extras")
-            if isinstance(extras, dict):
-                result.cache_totals = extras.get("cache_totals")
-            return result
+            # Keys beside the result (older entries carry an ``extras``
+            # block) are ignored.
+            return RunResult.from_dict(result_dict)
         except (ValueError, KeyError, TypeError) as error:
             self._evict(path, error)
             return None
@@ -181,9 +175,6 @@ class DiskCache:
             # Integrity check over the result alone: a torn or bit-rotted
             # entry is detected (and evicted) on load rather than served.
             "checksum": _result_checksum(result_dict),
-            # Machine-wide cache counters (diagnostic; PR 2 left them
-            # unserialized, so warm-cache ``profile`` runs lost them).
-            "extras": {"cache_totals": result.cache_totals},
         })
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

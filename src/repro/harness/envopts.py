@@ -15,25 +15,18 @@ the single source of truth:
 ``REPRO_JOBS``      default run-farm worker count
 ``REPRO_CHECK_DIR`` model-checker reproducer artifact directory (default
                     ``.repro_check``)
-``REPRO_BACKEND``   ``python`` (default) or ``compiled``: ``compiled``
-                    *verifies* that the mypyc extension modules built by
-                    ``scripts/build_compiled.py`` are the ones actually
-                    imported, and raises ``ConfigError`` otherwise — it
-                    never changes behaviour, only guards against silently
-                    benchmarking the wrong backend
 ==================  =======================================================
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 __all__ = [
     "OFF_VALUES", "ON_VALUES", "watchdog_from_env", "trace_from_env",
     "metrics_from_env", "loadlat_from_env", "cache_enabled",
-    "jobs_from_env", "smoke_overrides",
-    "backend_from_env", "verify_backend", "COMPILED_MODULES", "check_dir",
+    "jobs_from_env", "smoke_overrides", "check_dir",
 ]
 
 #: Spellings that disable a feature knob (case-insensitive).
@@ -102,64 +95,6 @@ def cache_enabled() -> bool:
     on unless explicitly set to an off-value)."""
     return os.environ.get("REPRO_CACHE", "on").strip().lower() \
         not in OFF_VALUES
-
-
-#: Modules ``scripts/build_compiled.py`` compiles with mypyc; the compiled
-#: backend is only "on" when every one of these imported as an extension.
-COMPILED_MODULES = (
-    "repro.sim.engine",
-    "repro.protocol.messages",
-    "repro.caches.setassoc",
-    "repro.caches.mshr",
-)
-
-_BACKEND_VERIFIED: Optional[str] = None
-
-
-def backend_from_env() -> str:
-    """Requested simulation backend from ``REPRO_BACKEND``: ``python``
-    (the default) or ``compiled`` (the mypyc extension build)."""
-    raw = os.environ.get("REPRO_BACKEND", "python").strip().lower()
-    if raw in ("", "python", "py", "default"):
-        return "python"
-    if raw in ("compiled", "mypyc", "native"):
-        return "compiled"
-    raise ValueError(
-        f"REPRO_BACKEND: expected 'python' or 'compiled', got {raw!r}")
-
-
-def verify_backend() -> str:
-    """Check that the imported modules match the requested backend.
-
-    The compiled and pure-Python backends expose the identical API, so a
-    missing extension would otherwise degrade silently to the slow path and
-    poison benchmark comparisons.  With ``REPRO_BACKEND=compiled`` every
-    module in :data:`COMPILED_MODULES` must have imported as an extension
-    (its ``__file__`` is not a ``.py`` source); otherwise ``ConfigError``
-    names the stragglers.  Verified once per process.
-    """
-    global _BACKEND_VERIFIED
-    backend = backend_from_env()
-    if backend == _BACKEND_VERIFIED:
-        return backend
-    if backend == "compiled":
-        import importlib
-
-        plain: List[str] = []
-        for name in COMPILED_MODULES:
-            module = importlib.import_module(name)
-            source = getattr(module, "__file__", "") or ""
-            if source.endswith(".py"):
-                plain.append(name)
-        if plain:
-            from ..common.errors import ConfigError
-            raise ConfigError(
-                "REPRO_BACKEND=compiled, but these modules imported as pure "
-                "Python: " + ", ".join(plain)
-                + " — build the extensions with scripts/build_compiled.py "
-                "(requires mypyc) or unset REPRO_BACKEND")
-    _BACKEND_VERIFIED = backend
-    return backend
 
 
 def check_dir() -> str:

@@ -204,7 +204,6 @@ def build_machine(spec: Dict):
     Returns ``(machine, ops, cost_model)``; callers that need the live
     machine afterwards (the trace CLI, tests) run ``machine.run(ops)``
     themselves."""
-    envopts.verify_backend()
     make = flash_config if spec["kind"] == "flash" else ideal_config
     config = make(n_procs=spec["n_procs"], cache_size=spec["cache_bytes"])
     if spec["config_overrides"]:

@@ -202,34 +202,12 @@ def _selftest_worker(behavior: Dict) -> str:
     return json.dumps({"schema": "selftest", "ok": True})
 
 
-def _wire_result(result: RunResult) -> str:
-    """Worker -> parent IPC form: the canonical result plus the diagnostic
-    extras ``to_json`` deliberately omits (``cache_totals`` is not part of
-    the serialized result, but a farmed fresh run should not silently lose
-    it on the way back to the parent)."""
-    return json.dumps({
-        "wire": 1,
-        "result": result.to_dict(),
-        "cache_totals": result.cache_totals,
-    })
-
-
-def _unwire_result(payload: str) -> RunResult:
-    state = json.loads(payload)
-    if "wire" not in state:
-        # A bare canonical RunResult (selftest ok_spec echoes).
-        return RunResult.from_dict(state)
-    result = RunResult.from_dict(state["result"])
-    result.cache_totals = state.get("cache_totals")
-    return result
-
-
 def _worker(spec: Dict) -> str:
     """Run one spec in a worker process; results travel as canonical JSON."""
     behavior = _selftest(spec)
     if behavior is not None:
         return _selftest_worker(behavior)
-    return _wire_result(experiments.run_spec(spec))
+    return experiments.run_spec(spec).to_json()
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -433,7 +411,7 @@ def _run_farmed(specs: List[Dict], jobs: int,
                     if specs[index].get("app") == _SELFTEST_APP:
                         results[index] = payload
                     else:
-                        result = _unwire_result(payload)
+                        result = RunResult.from_json(payload)
                         experiments.memoize(specs[index], result)
                         results[index] = result
 

@@ -42,14 +42,9 @@ _NO_ARG = object()
 #: schedule argument-less continuations through the same tuple fast path.
 NO_ARG = _NO_ARG
 
-# Under mypyc the module's __file__ is the compiled extension; native code
-# may hold references the interpreter-level refcount proof does not see, so
-# the pools stay empty there (draws degrade to plain allocation).
-_COMPILED = not __file__.endswith(".py")
-
 # Timeout pooling relies on CPython reference-count semantics to prove that
 # nobody else can observe the recycled object (see Environment.run).
-_REFCOUNT_POOLING = sys.implementation.name == "cpython" and not _COMPILED
+_REFCOUNT_POOLING = sys.implementation.name == "cpython"
 #: getrefcount(event) when the run loop's local + getrefcount's own argument
 #: are the only remaining references.
 _FREE_REFCOUNT = 2
@@ -409,6 +404,8 @@ class Environment:
         # attached watchdog is ticked by run()'s dispatch countdown.
         self._queues: List[Any] = []
         self._watchdog = None
+        # Entries dispatched by every run() so far (see ``dispatches``).
+        self._dispatches = 0
         # Observability anchor (repro.stats.trace): the Machine parks its
         # Tracer here so stall diagnosis can attach the trace tail of the
         # oldest in-flight transactions.  The run loop never consults it.
@@ -417,6 +414,14 @@ class Environment:
     @property
     def now(self) -> float:
         return self._now
+
+    @property
+    def dispatches(self) -> int:
+        """Ready-queue entries (events and queued callbacks) every
+        :meth:`run` so far has dispatched: an exact work count, independent
+        of any watchdog.  Outside a run it is exact; inside one it lags by
+        the dispatches since the run started or the last watchdog tick."""
+        return self._dispatches
 
     # -- scheduling internals ------------------------------------------------
 
@@ -586,7 +591,11 @@ class Environment:
         """
         # Watchdog countdown: an attached watchdog is ticked every
         # ``check_interval`` dispatches.  Unwatched, the countdown starts
-        # below zero and only falls, so it never reaches zero.
+        # below zero and only falls, so it never reaches zero.  Either way
+        # ``interval - countdown`` entries have been dispatched since the
+        # run started or the watchdog last ticked; the tick and both
+        # returns fold that into ``_dispatches``, so counting costs the
+        # dispatch loop nothing.
         watchdog = self._watchdog
         if watchdog is None:
             interval = countdown = -1
@@ -630,7 +639,7 @@ class Environment:
                 countdown -= 1
                 if not countdown:
                     countdown = interval
-                    watchdog.events_dispatched += interval
+                    self._dispatches += interval
                     watchdog.check()
                 event = ready.popleft()
                 cls = event.__class__
@@ -700,6 +709,7 @@ class Environment:
             when = whens[0]
             if until is not None and when > until:
                 self._now = until
+                self._dispatches += interval - countdown
                 return until
             heappop(whens)
             self._now = when
@@ -711,6 +721,7 @@ class Environment:
             bucket_pool.append(bucket)
         if until is not None and until > self._now:
             self._now = until
+        self._dispatches += interval - countdown
         return self._now
 
     def run_process(self, generator: Generator, until: Optional[float] = None) -> Any:

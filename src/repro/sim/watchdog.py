@@ -314,11 +314,17 @@ class Watchdog:
         self.check_interval = max(1, int(check_interval))
         self.progress_fn = progress_fn
         self.stall_dir = stall_dir
-        self.events_dispatched = 0
+        self._dispatches_at_attach = env.dispatches
         self._last_progress: Optional[int] = None
         self._events_at_progress = 0
         self._time_at_progress = env.now
         env.attach_watchdog(self)
+
+    @property
+    def events_dispatched(self) -> int:
+        """Events the kernel dispatched since this watchdog attached (read
+        from :attr:`Environment.dispatches`, so exact at every tick)."""
+        return self.env.dispatches - self._dispatches_at_attach
 
     def check(self) -> None:
         """Called by the run loop every ``check_interval`` events; raises

@@ -19,8 +19,8 @@ __all__ = ["CacheStats", "CpuTimes", "NodeStats", "merge_cpu_times",
 
 def merge_cache_stats(stats: Iterable[CacheStats]) -> CacheStats:
     """Fold per-node cache counters into one machine-wide
-    :class:`~repro.caches.setassoc.CacheStats` (see its ``to_dict``/``merge``;
-    used by the run report and the profile subcommand)."""
+    :class:`~repro.caches.setassoc.CacheStats` (see its ``merge``; used by
+    the run report)."""
     total = CacheStats()
     for s in stats:
         total.merge(s)

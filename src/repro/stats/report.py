@@ -59,7 +59,6 @@ class RunResult:
 
     #: Class-level defaults for attributes set conditionally: deserialized
     #: or stripped-down results fall back to None instead of AttributeError.
-    cache_totals: Optional[Dict[str, int]] = None
     fault_counters: Optional[Dict[str, int]] = None
     #: Per-miss-class latency decomposition (``Tracer.decomposition()``);
     #: present — and serialized — only for traced runs, so untraced results
@@ -90,9 +89,6 @@ class RunResult:
         cache_stats = merge_cache_stats(n.cpu.cache.stats for n in machine.nodes)
         self.read_misses = cache_stats.read_misses
         self.write_misses = cache_stats.write_misses
-        #: Machine-wide processor-cache counters (not serialized — present
-        #: only on freshly simulated results; the profile report prints it).
-        self.cache_totals = cache_stats.to_dict()
         #: Fault-injection counters (not serialized — set by the harness on
         #: freshly simulated fault-injected runs; see ``repro.faults``).
         self.fault_counters: Optional[Dict[str, int]] = None
@@ -258,87 +254,3 @@ class RunResult:
             "avg_pp_occupancy": self.avg_pp_occupancy,
             "avg_memory_occupancy": self.avg_memory_occupancy,
         }
-
-
-# ---------------------------------------------------------------------------
-# Per-subsystem profile attribution (``python -m repro.harness profile``)
-# ---------------------------------------------------------------------------
-
-#: Ordered map of subsystem label -> path fragments that claim a frame.
-#: First match wins; anything unclaimed lands in "other" (stdlib, harness,
-#: stats collection, builtins).
-PROFILE_SUBSYSTEMS = (
-    ("cache", ("/repro/caches/",)),
-    ("cpu", ("/repro/processor/",)),
-    ("protocol", ("/repro/protocol/", "/repro/magic/", "/repro/ideal/",
-                  "/repro/pp/")),
-    ("network", ("/repro/network/", "/repro/msgpass/")),
-    ("memory", ("/repro/memory/",)),
-    ("kernel", ("/repro/sim/",)),
-    ("workload", ("/repro/apps/",)),
-)
-
-
-def _subsystem_of(filename: str) -> str:
-    path = filename.replace("\\", "/")
-    for label, fragments in PROFILE_SUBSYSTEMS:
-        for fragment in fragments:
-            if fragment in path:
-                return label
-    return "other"
-
-
-def attribute_profile(profile) -> Dict[str, Any]:
-    """Bucket a finished :class:`cProfile.Profile` by simulator subsystem.
-
-    Attribution uses *tottime* (time inside the frame itself, excluding
-    callees), so every sampled nanosecond is counted exactly once and the
-    buckets sum to the profiled wall clock.  Returns ``{"total": seconds,
-    "subsystems": {label: seconds}, "top": {label: [(where, seconds), ...]}}``.
-    """
-    import pstats
-
-    stats = pstats.Stats(profile)
-    buckets: Dict[str, float] = {}
-    top: Dict[str, List] = {}
-    for (filename, lineno, funcname), (cc, nc, tt, ct, callers) in \
-            stats.stats.items():  # type: ignore[attr-defined]
-        label = _subsystem_of(filename)
-        buckets[label] = buckets.get(label, 0.0) + tt
-        if tt > 0:
-            short = filename.replace("\\", "/").rsplit("/", 1)[-1]
-            top.setdefault(label, []).append((f"{short}:{funcname}", tt, nc))
-    for label in top:
-        top[label].sort(key=lambda item: item[1], reverse=True)
-    return {
-        "total": sum(buckets.values()),
-        "subsystems": buckets,
-        "top": top,
-    }
-
-
-def render_profile(attribution: Dict[str, Any], title: str,
-                   top_n: int = 3,
-                   cache_totals: Optional[Dict[str, int]] = None) -> str:
-    """Human-readable per-subsystem attribution table with the ``top_n``
-    hottest frames inside each subsystem.  ``cache_totals`` (a
-    :meth:`~repro.caches.setassoc.CacheStats.to_dict` snapshot) appends the
-    machine-wide processor-cache counters the run produced."""
-    total = attribution["total"] or 1e-12
-    order = [label for label, _ in PROFILE_SUBSYSTEMS] + ["other"]
-    lines = [title, "=" * len(title)]
-    lines.append(f"{'subsystem':<10} {'seconds':>9} {'share':>7}")
-    lines.append("-" * 28)
-    for label in order:
-        seconds = attribution["subsystems"].get(label, 0.0)
-        lines.append(f"{label:<10} {seconds:>9.3f} {seconds / total:>6.1%}")
-        for where, tt, nc in attribution["top"].get(label, [])[:top_n]:
-            lines.append(f"    {where:<40} {tt:>8.3f}s  x{nc}")
-    lines.append("-" * 28)
-    lines.append(f"{'total':<10} {attribution['total']:>9.3f}")
-    if cache_totals:
-        lines.append("")
-        lines.append("processor-cache counters (machine-wide)")
-        for key, count in cache_totals.items():
-            lines.append(f"  {key:<24} {count:>12,}")
-    return "\n".join(lines)

@@ -50,8 +50,13 @@ class TestGeometry:
         cache = make_cache(size=4 * KB, assoc=2)
         span = LINE * cache.n_sets
         a, b = 0, span
-        assert cache.set_index(a) == cache.set_index(b)
-        assert cache.tag_of(a) != cache.tag_of(b)
+        cache.fill(a, CacheState.SHARED)
+        cache.fill(b, CacheState.DIRTY)
+        # Different tags: both lines are resident, each in its own state.
+        assert cache.state_of(a) == CacheState.SHARED
+        assert cache.state_of(b) == CacheState.DIRTY
+        # One set: a third line at the same stride evicts the LRU of the two.
+        assert cache.fill(2 * span, CacheState.SHARED) == (a, CacheState.SHARED)
 
 
 def run_ops(ops):
@@ -101,7 +106,8 @@ class TestReplacement:
         span = LINE * cache.n_sets
         cache.fill(0, CacheState.SHARED)
         cache.fill(span, CacheState.SHARED)
-        cache.touch(0)  # 0 becomes MRU; span is now LRU
+        # Re-filling a resident line makes it MRU; span is now LRU.
+        assert cache.fill(0, CacheState.SHARED) is None
         victim = cache.fill(2 * span, CacheState.SHARED)
         assert victim[0] == span
 
@@ -169,7 +175,7 @@ class TestCoherenceOps:
         cache.fill(LINE, CacheState.DIRTY)
         resident = dict(cache.resident_lines())
         assert resident == {0: CacheState.SHARED, LINE: CacheState.DIRTY}
-        assert cache.occupancy() == 2
+        assert len(list(cache.resident_lines())) == 2
 
 
 def test_queries_create_no_sets():
@@ -183,10 +189,8 @@ def test_queries_create_no_sets():
     assert not cache.rmw_touch(other)
     with pytest.raises(KeyError):
         cache.set_state(other, CacheState.DIRTY)
-    with pytest.raises(KeyError):
-        cache.touch(other)
     assert len(cache._sets) == 1
-    assert cache.occupancy() == 1
+    assert len(list(cache.resident_lines())) == 1
     assert _EMPTY_SET == {}
 
 

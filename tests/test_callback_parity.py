@@ -1,10 +1,10 @@
-"""Observability parity and profile attribution for the callback hot core.
+"""Observability parity for the callback hot core.
 
 The hot CPU / MAGIC / memory / network paths run as callback state machines
 on the event kernel; every observability layer hooks those same paths.
 Per-dimension parity already lives elsewhere (trace: ``test_trace.py``,
 metrics: ``test_metrics.py``, watchdog: ``test_watchdog.py``).  This file
-covers the combinations and the profiling story:
+covers the combinations:
 
 * **everything ON at once** — watchdog + tracer + metrics together must
   leave the core result byte-identical: stripped of the blocks only they
@@ -12,14 +12,9 @@ covers the combinations and the profiling story:
   result hashes to the very same golden SHA-256 as the bare run;
 * **one controller pipeline** — a traced and metered run dispatches every
   handler exactly as a plain run does, per message type, and a watched run
-  keeps the run loop's object pools;
-* **profile attribution** — the callback frames land in the same
-  per-subsystem buckets (``cpu``, ``protocol``, ``network``, ``memory``,
-  ``kernel``) the coroutine frames did, because attribution keys on file
-  paths, not function shapes.
+  keeps the run loop's object pools.
 """
 
-import cProfile
 import hashlib
 import json
 
@@ -28,7 +23,6 @@ import pytest
 from test_integration import TestGoldenHashes as _GoldenMatrix
 
 from repro.harness import experiments
-from repro.stats.report import attribute_profile
 
 
 def _golden_spec(combo, **kwargs):
@@ -121,41 +115,3 @@ class TestObserversKeepThePipeline:
         assert watched == plain
         _timeouts, events, buckets = watched
         assert events and buckets
-
-
-class TestProfileAttribution:
-    """Callback frames bucket into the same subsystems as coroutine frames."""
-
-    @pytest.fixture(scope="class")
-    def attribution(self):
-        profile = cProfile.Profile()
-        spec = _golden_spec("fft/flash")
-        profile.enable()
-        experiments._execute(spec)
-        profile.disable()
-        return attribute_profile(profile)
-
-    def test_every_hot_subsystem_claims_time(self, attribution):
-        buckets = attribution["subsystems"]
-        for label in ("cache", "cpu", "protocol", "network", "memory",
-                      "kernel", "workload"):
-            assert buckets.get(label, 0.0) > 0.0, (
-                f"subsystem {label!r} claimed no profile time under the"
-                " callback core")
-
-    def test_callback_frames_land_in_their_subsystems(self, attribution):
-        top = attribution["top"]
-
-        def frames(label):
-            return [where for where, _tt, _nc in top.get(label, [])]
-
-        assert any("cpu.py:" in where for where in frames("cpu"))
-        assert any("chip.py:" in where for where in frames("protocol"))
-        assert any("mesh.py:" in where for where in frames("network"))
-        assert any("controller.py:" in where for where in frames("memory"))
-        # The dispatch loop and scheduling primitives stay in "kernel".
-        assert any("engine.py:" in where for where in frames("kernel"))
-
-    def test_buckets_sum_to_total(self, attribution):
-        assert sum(attribution["subsystems"].values()) == \
-            pytest.approx(attribution["total"])

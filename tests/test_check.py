@@ -8,6 +8,7 @@ for the bug classes the oracle claims to cover).
 """
 
 import json
+import re
 
 import pytest
 
@@ -239,6 +240,18 @@ class TestCheckCLI:
         assert payload["status"] == "ok"
         assert payload["failed"] == 0
         assert payload["checked_ops"] > 0
+
+    def test_text_summary_counts_ops(self, capsys):
+        # The oracle makes one observation per read or write op, so the
+        # summary counts ops; the JSON key stays ``checked_ops``.
+        from repro.harness.__main__ import main
+
+        assert main(["check", "--seed", "0", "--ops", "100",
+                     "--protocols", "base", "--kinds", "flash"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^check: 1/1 passed, \d+ ops checked, \d+ quiesce"
+                         r" walks$", out, re.MULTILINE), out
+        assert "references checked" not in out
 
     def test_mutated_sweep_fails_with_artifact(self, capsys, tmp_path):
         from repro.harness.__main__ import main

@@ -225,6 +225,43 @@ class TestGoldenHashes:
         # it would leak lines between caches.
         assert _EMPTY_SET == {}
 
+    #: Events the kernel dispatches (``Environment.dispatches``) per combo,
+    #: recorded with a ``check_interval=1`` watchdog before the kernel kept
+    #: its own count.  The count lies outside the serialized result, so it
+    #: catches work the hashes cannot see: a callback fast path that starts
+    #: taking an extra calendar hop keeps every timestamp, and so every
+    #: hash, but not this number.
+    DISPATCHES = {
+        "barnes/flash": 146_086,
+        "barnes/ideal": 70_430,
+        "fft/flash": 150_941,
+        "fft/ideal": 71_395,
+        "lu/flash": 52_877,
+        "lu/ideal": 27_880,
+        "mp3d/flash": 300_775,
+        "mp3d/ideal": 142_053,
+        "ocean/flash": 24_085,
+        "ocean/ideal": 11_666,
+        "os/flash": 212_634,
+        "os/ideal": 113_663,
+        "radix/flash": 561_864,
+        "radix/ideal": 253_059,
+    }
+
+    @pytest.mark.parametrize("combo", sorted(DISPATCHES))
+    def test_dispatch_count_matches_pin(self, combo):
+        from repro.harness import experiments
+
+        app, kind = combo.split("/")
+        spec = experiments.normalize_spec(
+            app, kind=kind, regime="large",
+            workload_overrides=self.FAST_SIZES[app])
+        machine, ops, _ = experiments.build_machine(spec)
+        machine.run(ops)
+        assert machine.env.dispatches == self.DISPATCHES[combo], (
+            f"{combo}: the kernel dispatched a different number of events"
+            " -- the run took a different path through the event kernel")
+
     #: The observed path: mp3d with tracer and metrics registry attached.
     #: ``result`` hashes the full ``RunResult`` JSON (latency decomposition,
     #: critical path and metrics included); ``events`` hashes the Chrome

@@ -195,9 +195,9 @@ class TestSerialization:
         assert loaded is not None
         assert loaded.metrics == fft_flash.metrics
 
-    def test_metrics_survive_farm_wire(self, fft_flash):
-        wired = runfarm._wire_result(fft_flash)
-        unwired = runfarm._unwire_result(wired)
+    def test_metrics_survive_farm_wire(self, fft_flash, monkeypatch):
+        monkeypatch.setattr(experiments, "run_spec", lambda _spec: fft_flash)
+        unwired = RunResult.from_json(runfarm._worker({"app": "fft"}))
         assert unwired.metrics == fft_flash.metrics
 
     def test_metrics_specs_cache_under_distinct_key(self):

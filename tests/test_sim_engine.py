@@ -298,3 +298,49 @@ class TestDeterminism:
         t = env.timeout(4)
         assert not t.triggered
         assert env.run() == env.now == 6
+
+
+def _ticker(env, fired, last=20, period=10):
+    """A callback chain that fires at 0, period, 2*period, ... and logs
+    each dispatch in ``fired``."""
+    def tick(n):
+        fired.append(n)
+        if n < last:
+            env.call_later(period, tick, n + 1)
+
+    env.call_soon(tick, 0)
+
+
+class TestDispatchCount:
+    """``Environment.dispatches`` counts every ready-queue entry the kernel
+    dispatches, exactly, across any number of ``run`` calls."""
+
+    def test_counts_accumulate_across_runs(self, env):
+        fired = []
+        _ticker(env, fired)
+        assert env.dispatches == 0
+        # Returns early: the next tick is due at 60, past ``until``.
+        assert env.run(until=55) == 55
+        assert env.dispatches == len(fired) == 6
+        # The tick due exactly at ``until`` fires; the one at 110 waits.
+        env.run(until=100)
+        assert env.dispatches == len(fired) == 11
+        # Drains: the schedule empties before ``until``.
+        env.run(until=1000)
+        assert env.dispatches == len(fired) == 21
+        env.run()
+        assert env.dispatches == 21
+
+    def test_events_and_callbacks_count_alike(self, env):
+        def proc():
+            for _ in range(3):
+                yield env.timeout(5)
+
+        env.process(proc())
+        env.run()
+        # The first resume, three timeouts and the finished process event.
+        assert env.dispatches == 5
+
+    def test_read_only(self, env):
+        with pytest.raises(AttributeError):
+            env.dispatches = 7

@@ -114,6 +114,8 @@ class TestLivelockDetection:
             env.run()
         assert "livelock" in str(excinfo.value)
         assert excinfo.value.diagnosis.events_dispatched >= 2000
+        # The stall is raised at a tick, where the kernel count is exact.
+        assert excinfo.value.diagnosis.events_dispatched == env.dispatches
 
     def test_time_budget_catches_spin(self):
         env = self.spinner_env()
@@ -138,6 +140,58 @@ class TestLivelockDetection:
         Watchdog(env, event_budget=10**9)
         env.run(until=100)
         assert env.now == 100
+
+
+class TestDispatchCount:
+    """The watchdog reads the kernel's one dispatch counter: attaching it
+    changes neither the count nor, therefore, the work a run does."""
+
+    @staticmethod
+    def ticking_env():
+        env = Environment()
+        fired = []
+
+        def tick(n):
+            fired.append(n)
+            if n < 40:
+                env.call_later(10, tick, n + 1)
+
+        env.call_soon(tick, 0)
+        return env, fired
+
+    def test_watched_count_matches_plain_across_runs(self):
+        plain, _ = self.ticking_env()
+        watched, fired = self.ticking_env()
+        # An interval that divides none of the segment lengths below, so
+        # ticks, early returns and drains all fall mid-interval.
+        Watchdog(watched, event_budget=None, check_interval=7)
+        for until in (55, 100, 333, None):
+            plain.run(until=until)
+            watched.run(until=until)
+            assert watched.dispatches == plain.dispatches == len(fired)
+
+    def test_events_dispatched_is_the_delta_since_attach(self):
+        env, fired = self.ticking_env()
+        env.run(until=95)
+        before = env.dispatches
+        assert before == 10
+        watchdog = Watchdog(env, event_budget=None, check_interval=3)
+        assert watchdog.events_dispatched == 0
+        env.run(until=200)
+        assert watchdog.events_dispatched == env.dispatches - before == 11
+        env.run()
+        assert watchdog.events_dispatched == len(fired) - before
+
+    def test_watched_machine_dispatches_as_many_as_plain(self):
+        config = flash_config(n_procs=4, cache_size=64 * 1024)
+        workload = exp.app_workload("fft", **TINY_FFT)
+        counts = []
+        for watchdog in (None, True):
+            machine = Machine(config, watchdog=watchdog)
+            machine.run(workload.build(config))
+            counts.append(machine.env.dispatches)
+        assert counts[0] == counts[1] > 0
+        assert machine.watchdog.events_dispatched == counts[1]
 
 
 class TestDiagnosis:
